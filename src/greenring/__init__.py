@@ -1,10 +1,11 @@
 """Exact arithmetic in the Green ring of a cyclic p-group.
 
 Provides the integral representation ring on the indecomposable basis
-V_1..V_{p^nu}, Adams operations for exponents coprime to p, exterior and
-symmetric powers in degree < p, and an independent matrix oracle over GF(p)
-that realizes genuine modules, decomposes tensor / exterior / symmetric
-powers, and supplies the ring multiplication.
+V_1..V_{p^nu} with multiplication from the generator ladder, Adams
+operations for exponents coprime to p, exterior and symmetric powers in
+degree < p, and an independent matrix oracle over GF(p) that realizes
+genuine modules and decomposes tensor / exterior / symmetric powers, the
+ground truth that the matrix-free layers are checked against.
 """
 
 from .adams import (
@@ -27,6 +28,7 @@ from .core import (
     format_element,
     from_dict,
     heller,
+    multiply,
     one,
     parse_element,
     ring_generator,
@@ -42,19 +44,18 @@ from .errors import (
     InvalidModuleError,
     OracleCapacityError,
     ParseError,
+    SettingError,
     SupportError,
 )
 from .oracle import (
     DecompositionReport,
     JordanModule,
     decompose,
-    multiply,
     pair_product,
     realize,
     sym,
     sym_decomposition,
     tensor,
-    warm_pairs,
     wedge,
     wedge_decomposition,
 )
@@ -115,7 +116,6 @@ __all__ = [
     "symmetric_sequence",
     "tensor",
     "to_dict",
-    "warm_pairs",
     "wedge",
     "wedge_decomposition",
     "zero",
@@ -126,5 +126,6 @@ __all__ = [
     "InvalidModuleError",
     "OracleCapacityError",
     "ParseError",
+    "SettingError",
     "SupportError",
 ]

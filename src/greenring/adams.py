@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import GreenElement, RingContext, basis_element, zero
+from .core import GreenElement, RingContext, basis_element, multiply, one, ring_generator, zero
 from .errors import (
     ContextMismatchError,
     DivisibilityError,
@@ -142,9 +142,6 @@ def adams_on_generator(ctx: RingContext, n: int, m: int) -> GreenElement:
     Valid for every n >= 1, including multiples of p: the value is the
     first-kind Dickson polynomial of index n evaluated at the generator.
     """
-    from .core import one, ring_generator
-    from .oracle import multiply
-
     if n < 1:
         raise DivisibilityError(f"exponent must be >= 1, got {n}")
     x = ring_generator(ctx, m)

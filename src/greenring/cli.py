@@ -26,11 +26,11 @@ from .core import (
     basis_element,
     dim,
     format_element,
+    multiply,
     parse_element,
     to_dict,
 )
 from .errors import GreenRingError
-from .oracle import multiply
 from .powers import exterior_power, symmetric_power
 from .suites import SUITE_NAMES, NotApplicableError, run_suite
 

@@ -4,6 +4,9 @@ The ring R has a Z-basis V_1, ..., V_q (q = p^nu), where V_r stands for the
 unique indecomposable module of dimension r.  Elements are stored as dense
 integer coefficient vectors; the conventions V_0 = 0 and V_{-r} = -V_r are
 normalized away at construction, so equality is componentwise.
+
+Multiplication is the bilinear extension of basis products computed from the
+generator ladder (see basis_product); no matrices are involved.
 """
 
 from __future__ import annotations
@@ -11,12 +14,14 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     ContextMismatchError,
     IndexRangeError,
     ParseError,
+    SettingError,
     SupportError,
 )
 
@@ -37,10 +42,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def env_cap(name: str, default: int) -> int:
+    """A positive integer cap read from the environment variable `name`.
+
+    Unset or empty gives `default`; anything but a plain decimal integer of at
+    least 1 raises SettingError.
+    """
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise SettingError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def order_cap() -> int:
     """Group-order cap; override with the GREENRING_ORDER_CAP env var."""
-    raw = os.environ.get(ORDER_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ORDER_CAP
+    return env_cap(ORDER_CAP_ENV, DEFAULT_ORDER_CAP)
 
 
 @dataclass(frozen=True)
@@ -158,8 +176,6 @@ class GreenElement:
         if isinstance(other, int):
             return GreenElement(self.ctx, (other * a for a in self.coeffs))
         if isinstance(other, GreenElement):
-            from .oracle import multiply
-
             return multiply(self, other)
         return NotImplemented
 
@@ -180,6 +196,85 @@ class GreenElement:
 
     def __repr__(self) -> str:
         return f"<{format_element(self)} in {self.ctx!r}>"
+
+
+def _apply_generator(u: dict[int, int], pj: int, top: int) -> dict[int, int]:
+    """X_j * u for X_j = V_{p^j+1} - V_{p^j-1}, u supported on V_1..V_top.
+
+    X_j V_s = V_{s+p^j} + V_{s-p^j} with V_0 = 0 and V_{-t} = -V_t, and an
+    index above top = p^(j+1) reflects: V_{top+t} -> 2V_top - V_{top-t}.
+    """
+    out: dict[int, int] = {}
+    for s, c in u.items():
+        hi = s + pj
+        if hi > top:
+            out[top] = out.get(top, 0) + 2 * c
+            hi = 2 * top - hi
+            c_hi = -c
+        else:
+            c_hi = c
+        out[hi] = out.get(hi, 0) + c_hi
+        lo = s - pj
+        if lo > 0:
+            out[lo] = out.get(lo, 0) + c
+        elif lo < 0:
+            out[-lo] = out.get(-lo, 0) - c
+    return out
+
+
+@lru_cache(maxsize=1 << 14)
+def basis_product(p: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """V_a * V_b as ascending (index, multiplicity) pairs, from the generator ladder.
+
+    For a <= b with p^j < b <= p^(j+1), write b = k p^j + r with
+    1 <= r <= p^j.  The second-kind Dickson ladder
+    V_b = F_k(X_j) V_r + F_{k-1}(X_j) V_{p^j - r} gives
+
+        V_a V_b = F_k(X_j)(V_a V_r) + F_{k-1}(X_j)(V_a V_{p^j - r}),
+
+    with both smaller products found the same way, so no matrix is built.
+    Since F_{i+1} = X F_i - F_{i-1}, the values w_i = V_a V_{i p^j + r}
+    satisfy w_1 = X_j w_0 + V_a V_{p^j - r} and w_{i+1} = X_j w_i - w_{i-1}.
+    The product depends on p only, not on nu.  The GF(p) oracle's
+    pair_product computes the same multiplicities independently.
+    """
+    if a > b:
+        return basis_product(p, b, a)
+    if a < 1:
+        raise IndexRangeError(f"basis index {a} must be >= 1")
+    if a == 1:
+        return ((b, 1),)
+    pj = 1
+    while pj * p < b:
+        pj *= p
+    top = pj * p
+    k = (b - 1) // pj
+    r = b - k * pj
+    prev = dict(basis_product(p, a, r))
+    cur = _apply_generator(prev, pj, top)
+    if r < pj:
+        for t, m in basis_product(p, a, pj - r):
+            cur[t] = cur.get(t, 0) + m
+    for _ in range(k - 1):
+        nxt = _apply_generator(cur, pj, top)
+        for t, m in prev.items():
+            nxt[t] = nxt.get(t, 0) - m
+        prev, cur = cur, nxt
+    return tuple(sorted((t, m) for t, m in cur.items() if m))
+
+
+def multiply(x: GreenElement, y: GreenElement) -> GreenElement:
+    """Product in the Green ring: the bilinear extension of basis_product."""
+    x._check_ctx(y)
+    ctx, p = x.ctx, x.ctx.p
+    acc = [0] * ctx.order
+    y_items = list(y.items())
+    for r, cr in x.items():
+        for s, cs in y_items:
+            c = cr * cs
+            for t, m in basis_product(p, r, s):
+                acc[t - 1] += c * m
+    return GreenElement(ctx, acc)
 
 
 def zero(ctx: RingContext) -> GreenElement:
@@ -257,15 +352,36 @@ def to_dict(a: GreenElement) -> dict:
     }
 
 
+# an index key as to_dict writes it; "03" or " 3" would alias "3"
+_INDEX_KEY_RE = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _strict_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_dict(data: Mapping) -> GreenElement:
+    """Inverse of to_dict, rejecting what to_dict never writes.
+
+    p, nu and the coefficients must be ints (not bools, floats or strings)
+    and the keys decimal strings without leading zeros or whitespace;
+    anything else raises ParseError instead of being coerced.
+    """
     try:
-        ctx = RingContext(int(data["p"]), int(data["nu"]))
-        terms = {int(r): int(c) for r, c in data["coeffs"].items()}
+        p, nu, items = data["p"], data["nu"], list(data["coeffs"].items())
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed element object: {exc}") from exc
-    for r in terms:
+    ctx = RingContext(_strict_int(p, "p"), _strict_int(nu, "nu"))
+    terms = {}
+    for key, c in items:
+        if not isinstance(key, str) or not _INDEX_KEY_RE.fullmatch(key):
+            raise ParseError(f"coefficient key {key!r} is not a decimal index")
+        r = int(key)
         if not 1 <= r <= ctx.order:
             raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
+        terms[r] = _strict_int(c, f"coefficient of V{r}")
     return GreenElement.from_terms(ctx, terms)
 
 

@@ -31,3 +31,7 @@ class OracleCapacityError(GreenRingError, ValueError):
 
 class ParseError(GreenRingError, ValueError):
     """An element literal does not match the accepted grammar."""
+
+
+class SettingError(GreenRingError, ValueError):
+    """An environment setting, such as a size cap, is not a positive integer."""

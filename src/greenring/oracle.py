@@ -4,24 +4,24 @@ A basis module V_r is realized as a single unipotent Jordan block; tensor,
 exterior and symmetric powers are built literally as induced matrices; and
 decomposition back into indecomposables reads off the rank profile of the
 displacement N = g - 1, whose second differences give the block
-multiplicities.  The multiplication of the whole library is the bilinear
-extension of the basis product table produced this way.
+multiplicities.  The oracle is ground truth only: the library's
+multiplication comes from the generator ladder in core, and the oracle's
+pair_product and decompose check it independently.  GREENRING_ORACLE_CAP
+bounds the induced dimension of these matrix routes and nothing else.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from . import gfp
-from .core import GreenElement, RingContext
+from .core import GreenElement, RingContext, env_cap
+from .core import multiply  # noqa: F401  (greenring.oracle.multiply stays importable)
 from .errors import (
-    ContextMismatchError,
     IndexRangeError,
     InvalidModuleError,
     OracleCapacityError,
@@ -37,8 +37,7 @@ _GENERIC_DIM_LIMIT = 200
 
 def oracle_cap() -> int:
     """Induced-space dimension cap; override with GREENRING_ORACLE_CAP."""
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ORACLE_CAP
+    return env_cap(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP)
 
 
 def _check_capacity(size: int) -> None:
@@ -234,28 +233,7 @@ def decompose(ctx: RingContext, g: np.ndarray) -> DecompositionReport:
 
 
 # ---------------------------------------------------------------------------
-# basis product table and multiplication
-
-class _ProductTable:
-    """Lazily filled, symmetric table of basis products V_a * V_b."""
-
-    def __init__(self, ctx: RingContext):
-        self.ctx = ctx
-        self._pairs: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._lock = threading.Lock()
-
-    def pair(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
-        key = (a, b) if a <= b else (b, a)
-        hit = self._pairs.get(key)
-        if hit is not None:
-            return hit
-        with self._lock:
-            hit = self._pairs.get(key)
-            if hit is None:
-                hit = tuple(pair_product(self.ctx, *key).multiplicities)
-                self._pairs[key] = hit
-        return hit
-
+# basis products, the independent check of core.basis_product
 
 def pair_product(ctx: RingContext, a: int, b: int) -> DecompositionReport:
     """Decomposition of the tensor of the Jordan blocks of sizes a and b.
@@ -273,74 +251,10 @@ def pair_product(ctx: RingContext, a: int, b: int) -> DecompositionReport:
     return _profile_to_report(ctx, profile, a * b)
 
 
-_TABLES: dict[tuple[int, int], _ProductTable] = {}
-_TABLES_LOCK = threading.Lock()
-
-
-def product_table(ctx: RingContext) -> _ProductTable:
-    key = (ctx.p, ctx.nu)
-    table = _TABLES.get(key)
-    if table is None:
-        with _TABLES_LOCK:
-            table = _TABLES.setdefault(key, _ProductTable(ctx))
-    return table
-
-
-def _warm_worker(job: tuple[int, int, int, int]) -> tuple[tuple[int, int], tuple]:
-    p, nu, a, b = job
-    ctx = RingContext(p, nu)
-    return (a, b), tuple(pair_product(ctx, a, b).multiplicities)
-
-
-def warm_pairs(ctx, pairs, processes: int | None = None) -> None:
-    """Precompute basis products for the given index pairs.
-
-    Pair computations are pure and independent, so they may run in a small
-    process pool; results are merged into the table in sorted order, making
-    the outcome identical to sequential evaluation.
-    """
-    table = product_table(ctx)
-    todo = sorted(
-        {(a, b) if a <= b else (b, a) for a, b in pairs} - set(table._pairs)
-    )
-    if not todo:
-        return
-    if processes is None:
-        processes = min(2, os.cpu_count() or 1)
-    if processes <= 1 or len(todo) < 4:
-        for a, b in todo:
-            table.pair(a, b)
-        return
-    import multiprocessing
-
-    jobs = [(ctx.p, ctx.nu, a, b) for a, b in todo]
-    with multiprocessing.Pool(processes) as pool:
-        results = pool.map(_warm_worker, jobs, chunksize=1)
-    with table._lock:
-        for key, mults in sorted(results):
-            table._pairs.setdefault(key, mults)
-
-
-def multiply(x: GreenElement, y: GreenElement) -> GreenElement:
-    """Product in the Green ring: bilinear extension of the basis table."""
-    if x.ctx != y.ctx:
-        raise ContextMismatchError(f"mixed contexts {x.ctx} and {y.ctx}")
-    ctx = x.ctx
-    table = product_table(ctx)
-    acc = [0] * ctx.order
-    for r, cr in x.items():
-        for s, cs in y.items():
-            c = cr * cs
-            for t, m in table.pair(r, s):
-                acc[t - 1] += c * m
-    return GreenElement(ctx, acc)
-
-
 # ---------------------------------------------------------------------------
 # cached decompositions of powers of basis modules
 
 _POWER_CACHE: dict[tuple, DecompositionReport] = {}
-_POWER_LOCK = threading.Lock()
 
 
 def _power_decomposition(
@@ -369,16 +283,14 @@ def _power_decomposition(
         alt, symm = gfp.square_pair_split_profiles(r, ctx.p, ctx.order)
         wedge_report = _profile_to_report(ctx, alt, math.comb(r, 2))
         sym_report = _profile_to_report(ctx, symm, math.comb(r + 1, 2))
-        with _POWER_LOCK:
-            _POWER_CACHE.setdefault((ctx.p, ctx.nu, "wedge", n, r, route), wedge_report)
-            _POWER_CACHE.setdefault((ctx.p, ctx.nu, "sym", n, r, route), sym_report)
+        _POWER_CACHE.setdefault((ctx.p, ctx.nu, "wedge", n, r, route), wedge_report)
+        _POWER_CACHE.setdefault((ctx.p, ctx.nu, "sym", n, r, route), sym_report)
         return wedge_report if kind == "wedge" else sym_report
     if route != "matrix":
         raise ValueError(f"unknown route {route!r}")
     build = wedge if kind == "wedge" else sym
     report = decompose(ctx, build(ctx, n, realize(ctx, r)))
-    with _POWER_LOCK:
-        _POWER_CACHE.setdefault(key, report)
+    _POWER_CACHE.setdefault(key, report)
     return report
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adams import adams
-from .core import GreenElement, RingContext, one, zero
+from .core import GreenElement, RingContext, multiply, one, zero
 from .errors import GreenRingError, IndexRangeError
-from .oracle import multiply
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from greenring import (
     spread,
     sym_decomposition,
     symmetric_power,
-    warm_pairs,
     wedge_decomposition,
     zero,
 )
@@ -120,16 +119,6 @@ def test_criterion_03_periodicity_symmetry():
     print(f"\ncriterion 3 (periodicity/symmetry, {checked} checks, 0 mismatches): PASS")
 
 
-def _warm_ring_map_pairs(ctx, samples):
-    pairs = set()
-    for n, a, b in samples:
-        sup_a = adams(ctx, n, a).support()
-        sup_b = adams(ctx, n, b).support()
-        pairs.update((x, y) for x in sup_a for y in sup_b)
-        pairs.update((x, y) for x in a.support() for y in b.support())
-    warm_pairs(ctx, pairs)
-
-
 def test_criterion_04_ring_map():
     for ctx in CONTEXTS:
         rng = random.Random(97 + ctx.p)
@@ -143,7 +132,6 @@ def test_criterion_04_ring_map():
             )
             for _ in range(200)
         ]
-        _warm_ring_map_pairs(ctx, samples)
         for n, a, b in samples:
             assert adams(ctx, n, multiply(a, b)) == multiply(
                 adams(ctx, n, a), adams(ctx, n, b)
@@ -191,19 +179,6 @@ def test_criterion_06_shape_laws():
 def test_criterion_07_oracle_multiplication():
     for ctx in CONTEXTS:
         p, nu = ctx.p, ctx.nu
-        heavy = set()
-        for m in range(nu + 1):
-            pm = p**m
-            heavy.update((pm, r) for r in range(1, pm + 1))
-            if pm > 1:
-                heavy.update((pm - 1, r) for r in range(1, pm + 1))
-        for m in range(nu):
-            pm = p**m
-            heavy.update((pm + 1, r) for r in range(1, (p - 1) * pm + 1))
-            if pm > 1:
-                heavy.update((pm - 1, r) for r in range(1, (p - 1) * pm + 1))
-        warm_pairs(ctx, heavy)
-
         for m in range(nu):
             pm = p**m
             x = ring_generator(ctx, m)
@@ -265,7 +240,6 @@ def test_criterion_08_oracle_adams_equivalence():
 
 def test_criterion_09_degree_two_reciprocity():
     for ctx in ODD_CONTEXTS:
-        warm_pairs(ctx, [(r, r) for r in range(1, ctx.order + 1)])
         for m in range(1, ctx.nu + 1):
             for r in range(1, ctx.p**m + 1):
                 verdict = gow_laffey_check(ctx, m, r)

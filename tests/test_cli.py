@@ -1,10 +1,19 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from greenring import RingContext, adams_basis, basis_element, from_dict, multiply
+from greenring import (
+    RingContext,
+    adams_basis,
+    basis_element,
+    dim,
+    from_dict,
+    multiply,
+    parse_element,
+)
 from greenring.cli import main
 
 WORKED_23 = (
@@ -77,6 +86,12 @@ class TestMulCommand:
     def test_bad_literal_exits_two(self):
         assert main(["mul", "--p", "3", "--nu", "2", "--a", "W2", "--b", "V1"]) == 2
 
+    def test_product_beyond_oracle_cap(self, capsys):
+        # induced dimension 250000 exceeds the oracle cap; multiply needs no matrix
+        assert main(["mul", "--p", "31", "--nu", "2", "--a", "V500", "--b", "V500"]) == 0
+        value = parse_element(RingContext(31, 2), capsys.readouterr().out.strip())
+        assert dim(value) == 250000
+
 
 class TestPowerCommands:
     def test_exterior(self, capsys):
@@ -86,6 +101,11 @@ class TestPowerCommands:
     def test_symmetric(self, capsys):
         assert main(["sym", "--p", "5", "--nu", "2", "--n", "2", "--s", "3"]) == 0
         assert capsys.readouterr().out.strip() == "V5 + V1"
+
+    def test_square_beyond_oracle_cap(self, capsys):
+        assert main(["lambda", "--p", "31", "--nu", "2", "--n", "2", "--s", "300"]) == 0
+        value = parse_element(RingContext(31, 2), capsys.readouterr().out.strip())
+        assert dim(value) == math.comb(300, 2)
 
     def test_degree_at_least_p_exits_two(self):
         assert main(["lambda", "--p", "5", "--nu", "2", "--n", "5", "--s", "3"]) == 2
@@ -148,6 +168,14 @@ class TestVerifyCommand:
 
     def test_all_passes_small(self, capsys):
         assert main(["verify", "--p", "2", "--nu", "2", "--suite", "all"]) == 0
+
+    @pytest.mark.parametrize("var", ["GREENRING_ORDER_CAP", "GREENRING_ORACLE_CAP"])
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_bad_cap_setting_exits_two(self, var, raw, monkeypatch, capsys):
+        # verify --suite oracle reads both caps
+        monkeypatch.setenv(var, raw)
+        assert main(["verify", "--p", "2", "--nu", "1", "--suite", "oracle"]) == 2
+        assert var in capsys.readouterr().err
 
     def test_reciprocity_large_context(self, capsys):
         assert main(["verify", "--p", "7", "--nu", "2", "--suite", "reciprocity"]) == 0

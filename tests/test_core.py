@@ -10,6 +10,7 @@ from greenring import (
     IndexRangeError,
     ParseError,
     RingContext,
+    SettingError,
     SupportError,
     basis_element,
     congruent_mod_regular,
@@ -52,6 +53,12 @@ class TestRingContext:
         with pytest.raises(ValueError):
             RingContext(3, 2)
         assert RingContext(2, 3).order == 8
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "8.0", " 8"])
+    def test_order_cap_env_rejects_non_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("GREENRING_ORDER_CAP", raw)
+        with pytest.raises(SettingError):
+            RingContext(2, 3)
 
     def test_default_cap(self):
         with pytest.raises(ValueError):
@@ -198,6 +205,24 @@ class TestSerialization:
     def test_from_dict_rejects_bad_index(self):
         with pytest.raises(IndexRangeError):
             from_dict({"p": 3, "nu": 2, "coeffs": {"10": 1}})
+
+    def test_from_dict_rejects_float_p(self):
+        with pytest.raises(ParseError):
+            from_dict({"p": 7.9, "nu": 1, "coeffs": {"3": 1}})
+
+    def test_from_dict_rejects_float_coefficient(self):
+        with pytest.raises(ParseError):
+            from_dict({"p": 3, "nu": 2, "coeffs": {"3": 1.5}})
+
+    @pytest.mark.parametrize("coeff", [True, "2"])
+    def test_from_dict_rejects_non_int_coefficient(self, coeff):
+        with pytest.raises(ParseError):
+            from_dict({"p": 3, "nu": 2, "coeffs": {"3": coeff}})
+
+    def test_from_dict_rejects_aliased_keys(self):
+        # "03" and "3" name the same index; one term would be lost
+        with pytest.raises(ParseError):
+            from_dict({"p": 3, "nu": 2, "coeffs": {"03": 1, "3": 2}})
 
 
 class TestFormatting:

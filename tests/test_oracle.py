@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from greenring import (
     JordanModule,
     OracleCapacityError,
     RingContext,
+    SettingError,
     basis_element,
     decompose,
     dickson_second,
@@ -31,6 +33,7 @@ from greenring import (
     wedge_decomposition,
     zero,
 )
+from greenring.core import basis_product
 
 CTX3 = RingContext(3, 2)
 CTX5 = RingContext(5, 2)
@@ -152,6 +155,12 @@ class TestInducedPowers:
 
     def test_wedge_zero_degree(self):
         assert decompose(CTX5, wedge(CTX5, 0, realize(CTX5, 4))).multiplicities == ((1, 1),)
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+    def test_capacity_cap_rejects_non_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("GREENRING_ORACLE_CAP", raw)
+        with pytest.raises(SettingError):
+            tensor(CTX5, realize(CTX5, 2), realize(CTX5, 2))
 
     def test_capacity_cap(self, monkeypatch):
         monkeypatch.setenv("GREENRING_ORACLE_CAP", "5")
@@ -306,14 +315,30 @@ class TestMultiply:
         assert multiply(zero(CTX3), basis_element(CTX3, 5)).is_zero()
 
     def test_capacity_cap_on_products(self, monkeypatch):
+        # the cap bounds the oracle's matrix routes only; multiply builds no matrix
         monkeypatch.setenv("GREENRING_ORACLE_CAP", "10")
-        from greenring.oracle import _TABLES
-
-        _TABLES.pop((3, 2), None)
         with pytest.raises(OracleCapacityError):
-            multiply(basis_element(CTX3, 4), basis_element(CTX3, 4))
+            pair_product(CTX3, 4, 4)
+        with pytest.raises(OracleCapacityError):
+            tensor(CTX3, realize(CTX3, 4), realize(CTX3, 4))
+        got = multiply(basis_element(CTX3, 4), basis_element(CTX3, 4))
         monkeypatch.delenv("GREENRING_ORACLE_CAP")
-        _TABLES.pop((3, 2), None)
+        assert got == pair_product(CTX3, 4, 4).to_element()
+
+    @pytest.mark.parametrize("p,nu,sample", [(2, 4, None), (3, 3, None), (5, 2, None), (7, 2, 40)])
+    def test_ladder_matches_pair_product(self, p, nu, sample):
+        # multiply comes from the ladder; the oracle is the independent check:
+        # every pair at small contexts, a seeded sample at (7,2)
+        ctx = RingContext(p, nu)
+        pairs = list(itertools.combinations_with_replacement(range(1, ctx.order + 1), 2))
+        if sample is not None:
+            pairs = random.Random(7919).sample(pairs, sample)
+        bad = [
+            (a, b)
+            for a, b in pairs
+            if basis_product(p, a, b) != pair_product(ctx, a, b).multiplicities
+        ]
+        assert bad == []
 
 
 class TestJordanModule:
