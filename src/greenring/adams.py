@@ -4,44 +4,46 @@ The n-th operation is computed on basis modules by a level recursion that
 needs no ring multiplication: writing s = k p^m + r at the level m just below
 s, the value on V_s is assembled from the values on V_r and V_{p^m - r} by
 the spreading maps, with the exponents folded into 1..p-1 through the
-dihedral symmetry of period 2p.  Results are memoized per context.
+dihedral symmetry of period 2p.  The k + 1 spread terms are summed into one
+dict, so a value costs time in the supports involved, not in the group
+order.  Results are memoized per context.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import GreenElement, RingContext, basis_element, multiply, one, ring_generator, zero
+from .core import (
+    GreenElement,
+    RingContext,
+    _check_support,
+    basis_element,
+    multiply,
+    one,
+    ring_generator,
+    zero,
+)
 from .errors import (
     ContextMismatchError,
     DivisibilityError,
     IndexRangeError,
-    SupportError,
 )
 from .polynomials import dickson_first
 
 _CACHE: dict[tuple[int, int], dict[tuple[int, int], GreenElement]] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def _context_cache(ctx: RingContext) -> dict[tuple[int, int], GreenElement]:
-    key = (ctx.p, ctx.nu)
-    cache = _CACHE.get(key)
-    if cache is None:
-        with _CACHE_LOCK:
-            cache = _CACHE.setdefault(key, {})
-    return cache
+    return _CACHE.setdefault((ctx.p, ctx.nu), {})
 
 
 def clear_cache(ctx: RingContext | None = None) -> None:
     """Drop memoized Adams values (all contexts when ctx is None)."""
-    with _CACHE_LOCK:
-        if ctx is None:
-            _CACHE.clear()
-        else:
-            _CACHE.pop((ctx.p, ctx.nu), None)
+    if ctx is None:
+        _CACHE.clear()
+    else:
+        _CACHE.pop((ctx.p, ctx.nu), None)
 
 
 def fold_exponent(ctx: RingContext, c: int) -> int:
@@ -64,23 +66,21 @@ def spread(ctx: RingContext, m: int, i: int, w: GreenElement) -> GreenElement:
     """Spreading map at level m and offset i: V_r -> V_{ip^m+r} - V_{ip^m-r}.
 
     Takes the subring spanned by V_1..V_{p^m} into the one spanned by
-    V_1..V_{p^(m+1)}; offset 0 is the identity.
+    V_1..V_{p^(m+1)}; offset 0 is the identity.  Costs O(support of w).
     """
     if not 0 <= m <= ctx.nu - 1:
         raise IndexRangeError(f"level {m} outside 0..{ctx.nu - 1}")
     if not 0 <= i <= ctx.p - 1:
         raise IndexRangeError(f"offset {i} outside 0..{ctx.p - 1}")
-    pm = ctx.p**m
-    bad = [r for r in w.support() if r > pm]
-    if bad:
-        raise SupportError(f"support {bad} exceeds subring bound {pm}")
-    if i == 0:
+    pm = _check_support(ctx, m, w)
+    if i == 0 or not w.terms:
         return w
-    terms: list[tuple[int, int]] = []
-    for r, c in w.items():
-        terms.append((i * pm + r, c))
-        terms.append((i * pm - r, -c))
-    return GreenElement.from_terms(ctx, terms)
+    base = i * pm
+    # base + r and base - r never collide; base - r >= 0, and it is 0 (V_0 = 0,
+    # so the term is dropped) exactly when i = 1 and r = p^m
+    acc = {base + r: c for r, c in w.terms}
+    acc.update((base - r, -c) for r, c in w.terms if r != base)
+    return GreenElement._from_dict(ctx, acc)
 
 
 def _adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
@@ -98,10 +98,12 @@ def _adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
         r = s - k * q
         on_r = _adams_basis(ctx, n, r)
         on_comp = _adams_basis(ctx, n, q - r) if q - r >= 1 else zero(ctx)
-        value = zero(ctx)
+        acc: dict[int, int] = {}
         for j in range(k + 1):
             target = on_r if (k - j) % 2 == 0 else on_comp
-            value = value + spread(ctx, m, fold_exponent(ctx, j * n), target)
+            for t, c in spread(ctx, m, fold_exponent(ctx, j * n), target).terms:
+                acc[t] = acc.get(t, 0) + c
+        value = GreenElement._from_dict(ctx, acc)
     cache[key] = value
     return value
 
@@ -130,10 +132,14 @@ def adams(ctx: RingContext, n: int, w: GreenElement, fold: bool = True) -> Green
     """The n-th Adams operation, extended Z-linearly to any element."""
     if w.ctx != ctx:
         raise ContextMismatchError("element belongs to a different context")
-    acc = zero(ctx)
-    for s, c in w.items():
-        acc = acc + c * adams_basis(ctx, n, s, fold=fold)
-    return acc
+    if len(w.terms) == 1 and w.terms[0][1] == 1:
+        # a basis module: the memoized value itself rather than a copy of it
+        return adams_basis(ctx, n, w.terms[0][0], fold=fold)
+    acc: dict[int, int] = {}
+    for s, c in w.terms:
+        for t, v in adams_basis(ctx, n, s, fold=fold).terms:
+            acc[t] = acc.get(t, 0) + c * v
+    return GreenElement._from_dict(ctx, acc)
 
 
 def adams_on_generator(ctx: RingContext, n: int, m: int) -> GreenElement:
@@ -164,6 +170,17 @@ class ShapeVerdict:
     element: GreenElement
 
 
+def signs_alternate(value: GreenElement) -> bool:
+    """The sign clause of the shape law, read in descending index order.
+
+    True iff the first multiplicity is +1 and no two neighbours are equal,
+    which for multiplicities of magnitude 1 means the signs alternate; the
+    zero element passes.
+    """
+    signs = [c for _, c in reversed(value.terms)]
+    return not signs or (signs[0] == 1 and all(a != b for a, b in zip(signs, signs[1:])))
+
+
 def shape_check(ctx: RingContext, n: int, s: int) -> ShapeVerdict:
     """Check the structural law for the value on V_s.
 
@@ -173,16 +190,15 @@ def shape_check(ctx: RingContext, n: int, s: int) -> ShapeVerdict:
     is even, and all of the parity of s when n is odd.
     """
     value = adams_basis(ctx, n, s)
-    items = sorted(value.items(), reverse=True)
-    if any(abs(c) > 1 for _, c in items):
+    terms = value.terms
+    if any(abs(c) > 1 for _, c in terms):
         return ShapeVerdict(False, ShapeClause.COEFFICIENTS, value)
-    signs = [c for _, c in items]
-    if signs and (signs[0] != 1 or any(a == b for a, b in zip(signs, signs[1:]))):
+    if not signs_alternate(value):
         return ShapeVerdict(False, ShapeClause.ALTERNATION, value)
     bound = ctx.p ** ctx.level(s)
-    if items and items[0][0] > bound:
+    if terms and terms[-1][0] > bound:
         return ShapeVerdict(False, ShapeClause.INDEX_BOUND, value)
     want = 1 if n % 2 == 0 else s % 2
-    if any(r % 2 != want for r, _ in items):
+    if any(r % 2 != want for r, _ in terms):
         return ShapeVerdict(False, ShapeClause.PARITY, value)
     return ShapeVerdict(True, None, value)

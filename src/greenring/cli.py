@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from .adams import adams
 from .core import (
@@ -152,39 +153,33 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.n % ctx.p == 0:
         raise UsageError("n divisible by p: out of scope for this operation")
-    rows = []
-    for s in range(1, ctx.order + 1):
-        value = adams(ctx, args.n, basis_element(ctx, s))
-        rows.append((s, dim(value), value))
-    if args.format == "csv":
-        lines = ["s,dim,expression"]
-        lines.extend(f"{s},{d},{format_element(v)}" for s, d, v in rows)
-        payload = "\n".join(lines) + "\n"
-    else:
-        payload = (
-            json.dumps(
-                {
-                    "p": ctx.p,
-                    "nu": ctx.nu,
-                    "n": args.n,
-                    "rows": [
-                        {"s": s, "dim": d, "element": to_dict(v)} for s, d, v in rows
-                    ],
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+    values = [adams(ctx, args.n, basis_element(ctx, s)) for s in range(1, ctx.order + 1)]
+    chunks = _table_chunks(ctx, args.n, values, args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
     return 0
+
+
+def _table_chunks(ctx: RingContext, n: int, values: list[GreenElement], fmt: str) -> Iterator[str]:
+    """The table's text a row at a time, so the whole of it is never built twice."""
+    if fmt == "csv":
+        yield "s,dim,expression\n"
+        for s, v in enumerate(values, 1):
+            yield f"{s},{dim(v)},{format_element(v)}\n"
+        return
+    # the compact json.dumps of {"p", "nu", "n", "rows": [...]}, row by row
+    yield f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":['
+    for s, v in enumerate(values, 1):
+        row = {"s": s, "dim": dim(v), "element": to_dict(v)}
+        yield ("," if s > 1 else "") + json.dumps(row, separators=(",", ":"))
+    yield "]}\n"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

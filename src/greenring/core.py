@@ -1,9 +1,11 @@
 """Exact elements of the Green ring of a cyclic p-group.
 
 The ring R has a Z-basis V_1, ..., V_q (q = p^nu), where V_r stands for the
-unique indecomposable module of dimension r.  Elements are stored as dense
-integer coefficient vectors; the conventions V_0 = 0 and V_{-r} = -V_r are
-normalized away at construction, so equality is componentwise.
+unique indecomposable module of dimension r.  Elements are stored sparsely,
+as the ascending tuple of their nonzero (index, multiplicity) terms; the
+conventions V_0 = 0 and V_{-r} = -V_r are normalized away at construction, so
+equality is termwise.  Arithmetic accumulates into one dict per result, so it
+costs time in the support of its operands, not in q.
 
 Multiplication is the bilinear extension of basis products computed from the
 generator ladder (see basis_product); no matrices are involved.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -94,10 +97,30 @@ class RingContext:
         return f"RingContext(p={self.p}, nu={self.nu})"
 
 
-class GreenElement:
-    """A virtual module: integer multiplicities over the basis V_1..V_q."""
+# The shape law makes almost every multiplicity of an Adams value +-1, so the
+# (r, 1) and (r, -1) terms are shared between elements: a stored term then costs
+# one pointer, and the memory of a table does not follow its supports.  It
+# holds at most two pairs per index, so twice the largest group order in use.
+_UNIT_TERMS: dict[tuple[int, int], tuple[int, int]] = {}
 
-    __slots__ = ("ctx", "coeffs")
+
+def _terms(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The nonzero pairs of an ascending (index, multiplicity) sequence."""
+    units = _UNIT_TERMS
+    return tuple([units.setdefault(t, t) if t[1] in (1, -1) else t for t in pairs if t[1]])
+
+
+class GreenElement:
+    """A virtual module: integer multiplicities over the basis V_1..V_q.
+
+    Stored sparsely as `terms`, the nonzero (index, multiplicity) pairs in
+    ascending index order, so the cost of an element follows its support, not
+    q; pairs of multiplicity +-1 are shared (see _UNIT_TERMS).  The dense
+    constructor GreenElement(ctx, coeffs) and the `coeffs`
+    tuple are views derived from the same terms.
+    """
+
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingContext, coeffs: Iterable[int]):
         coeffs = tuple(int(c) for c in coeffs)
@@ -106,7 +129,19 @@ class GreenElement:
                 f"expected {ctx.order} coefficients, got {len(coeffs)}"
             )
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "terms", _terms(enumerate(coeffs, 1)))
+
+    @classmethod
+    def _from_dict(cls, ctx: RingContext, acc: Mapping[int, int]) -> "GreenElement":
+        """The element with multiplicity acc[r] on V_r; zero entries are dropped.
+
+        Every key must already lie in 1..q: callers accumulate normalized
+        indices, so no range check is made here.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ctx", ctx)
+        object.__setattr__(obj, "terms", _terms(sorted(acc.items())))
+        return obj
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("GreenElement is immutable")
@@ -118,7 +153,7 @@ class GreenElement:
         Index 0 is dropped and negative indices -r contribute -1 times V_r,
         so callers may hand in unnormalized terms.
         """
-        coeffs = [0] * ctx.order
+        acc: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for r, c in items:
             r, c = int(r), int(c)
@@ -128,28 +163,37 @@ class GreenElement:
                 r, c = -r, -c
             if r > ctx.order:
                 raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
-            coeffs[r - 1] += c
-        return cls(ctx, coeffs)
+            acc[r] = acc.get(r, 0) + c
+        return cls._from_dict(ctx, acc)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Dense multiplicities of V_1..V_q."""
+        out = [0] * self.ctx.order
+        for r, c in self.terms:
+            out[r - 1] = c
+        return tuple(out)
 
     def coeff(self, r: int) -> int:
         if not 1 <= r <= self.ctx.order:
             raise IndexRangeError(f"index {r} outside 1..{self.ctx.order}")
-        return self.coeffs[r - 1]
+        i = bisect_left(self.terms, (r,))
+        if i < len(self.terms) and self.terms[i][0] == r:
+            return self.terms[i][1]
+        return 0
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Nonzero (index, multiplicity) pairs in ascending index order."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield i + 1, c
+        return iter(self.terms)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.items())
+        return tuple(r for r, _ in self.terms)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.terms
 
     def dim(self) -> int:
-        return sum(r * c for r, c in self.items())
+        return sum(r * c for r, c in self.terms)
 
     def _check_ctx(self, other: "GreenElement") -> None:
         if self.ctx != other.ctx:
@@ -157,24 +201,29 @@ class GreenElement:
                 f"mixed contexts {self.ctx} and {other.ctx}"
             )
 
+    def _combine(self, other: "GreenElement", sign: int) -> "GreenElement":
+        self._check_ctx(other)
+        acc = dict(self.terms)
+        for r, c in other.terms:
+            acc[r] = acc.get(r, 0) + sign * c
+        return GreenElement._from_dict(self.ctx, acc)
+
     def __add__(self, other: "GreenElement") -> "GreenElement":
         if not isinstance(other, GreenElement):
             return NotImplemented
-        self._check_ctx(other)
-        return GreenElement(self.ctx, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "GreenElement") -> "GreenElement":
         if not isinstance(other, GreenElement):
             return NotImplemented
-        self._check_ctx(other)
-        return GreenElement(self.ctx, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "GreenElement":
-        return GreenElement(self.ctx, (-a for a in self.coeffs))
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GreenElement(self.ctx, (other * a for a in self.coeffs))
+            return GreenElement._from_dict(self.ctx, {r: other * c for r, c in self.terms})
         if isinstance(other, GreenElement):
             return multiply(self, other)
         return NotImplemented
@@ -188,11 +237,11 @@ class GreenElement:
         return (
             isinstance(other, GreenElement)
             and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.terms))
 
     def __repr__(self) -> str:
         return f"<{format_element(self)} in {self.ctx!r}>"
@@ -266,19 +315,18 @@ def basis_product(p: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
 def multiply(x: GreenElement, y: GreenElement) -> GreenElement:
     """Product in the Green ring: the bilinear extension of basis_product."""
     x._check_ctx(y)
-    ctx, p = x.ctx, x.ctx.p
-    acc = [0] * ctx.order
-    y_items = list(y.items())
-    for r, cr in x.items():
-        for s, cs in y_items:
+    p = x.ctx.p
+    acc: dict[int, int] = {}
+    for r, cr in x.terms:
+        for s, cs in y.terms:
             c = cr * cs
             for t, m in basis_product(p, r, s):
-                acc[t - 1] += c * m
-    return GreenElement(ctx, acc)
+                acc[t] = acc.get(t, 0) + c * m
+    return GreenElement._from_dict(x.ctx, acc)
 
 
 def zero(ctx: RingContext) -> GreenElement:
-    return GreenElement(ctx, (0,) * ctx.order)
+    return GreenElement._from_dict(ctx, {})
 
 
 def one(ctx: RingContext) -> GreenElement:
@@ -311,11 +359,12 @@ def ring_generator(ctx: RingContext, m: int) -> GreenElement:
 
 
 def _check_support(ctx: RingContext, m: int, a: GreenElement) -> int:
+    """p^m, after checking that a lies in the level-m subring V_1..V_{p^m}."""
     if not 0 <= m <= ctx.nu:
         raise IndexRangeError(f"subring level {m} outside 0..{ctx.nu}")
     pm = ctx.p**m
-    bad = [r for r in a.support() if r > pm]
-    if bad:
+    if a.terms and a.terms[-1][0] > pm:
+        bad = [r for r, _ in a.terms if r > pm]
         raise SupportError(f"support {bad} exceeds subring bound {pm}")
     return pm
 
@@ -388,7 +437,7 @@ def from_dict(data: Mapping) -> GreenElement:
 def format_element(a: GreenElement) -> str:
     """Human-readable form in descending index order, e.g. "V5 - V3 + 2V1"."""
     parts: list[str] = []
-    for r, c in sorted(a.items(), reverse=True):
+    for r, c in reversed(a.terms):
         mag = "" if abs(c) == 1 else str(abs(c))
         term = f"{mag}V{r}"
         if not parts:

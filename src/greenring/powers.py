@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adams import adams
-from .core import GreenElement, RingContext, multiply, one, zero
+from .core import GreenElement, RingContext, multiply, one
 from .errors import GreenRingError, IndexRangeError
 
 
@@ -33,9 +33,9 @@ class PowerSequence:
         return self.values[-1]
 
 
-def _exact_divide(a: GreenElement, i: int) -> GreenElement:
-    out = []
-    for c in a.coeffs:
+def _exact_divide(ctx: RingContext, acc: dict[int, int], i: int) -> GreenElement:
+    out = {}
+    for r, c in acc.items():
         q, rem = divmod(c, i)
         if rem:
             # integrality of the power series layer guarantees exactness;
@@ -43,8 +43,8 @@ def _exact_divide(a: GreenElement, i: int) -> GreenElement:
             raise AssertionError(
                 f"internal consistency failure: coefficient {c} not divisible by {i}"
             )
-        out.append(q)
-    return GreenElement(a.ctx, out)
+        out[r] = q
+    return GreenElement._from_dict(ctx, out)
 
 
 def _power_sequence(ctx: RingContext, n: int, w: GreenElement, alternating: bool) -> PowerSequence:
@@ -53,13 +53,12 @@ def _power_sequence(ctx: RingContext, n: int, w: GreenElement, alternating: bool
     psis = [None] + [adams(ctx, j, w) for j in range(1, n + 1)]
     values = [one(ctx)]
     for i in range(1, n + 1):
-        acc = zero(ctx)
+        acc: dict[int, int] = {}
         for j in range(1, i + 1):
-            term = multiply(psis[j], values[i - j])
-            if alternating and j % 2 == 0:
-                term = -term
-            acc = acc + term
-        values.append(_exact_divide(acc, i))
+            sign = -1 if alternating and j % 2 == 0 else 1
+            for r, c in multiply(psis[j], values[i - j]).terms:
+                acc[r] = acc.get(r, 0) + sign * c
+        values.append(_exact_divide(ctx, acc, i))
     return PowerSequence("exterior" if alternating else "symmetric", tuple(values))
 
 

@@ -10,7 +10,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .adams import adams, adams_basis, adams_on_generator, fold_exponent, shape_check, spread
+from .adams import (
+    adams,
+    adams_basis,
+    adams_on_generator,
+    fold_exponent,
+    shape_check,
+    signs_alternate,
+    spread,
+)
 from .core import (
     GreenElement,
     RingContext,
@@ -91,13 +99,11 @@ def paired_structure_ok(ctx: RingContext, n: int, s: int, m: int) -> bool:
         if sorted((a_val.coeff(pm), b_val.coeff(pm))) != [0, 1]:
             return False
         for value in (a_val, b_val):
-            items = sorted(value.items(), reverse=True)
-            signs = [c for _, c in items]
-            if any(abs(c) != 1 for c in signs):
+            if any(abs(c) != 1 for _, c in value.items()):
                 return False
-            if signs and (signs[0] != 1 or any(x == y for x, y in zip(signs, signs[1:]))):
+            if not signs_alternate(value):
                 return False
-            if any(r % 2 == 0 for r, _ in items if r != pm):
+            if any(r % 2 == 0 for r, _ in value.items() if r != pm):
                 return False
         return True
     # odd n: pick the side with an odd-dimensional module as the reference
@@ -105,13 +111,9 @@ def paired_structure_ok(ctx: RingContext, n: int, s: int, m: int) -> bool:
         ref, other = a_val, b_val
     else:
         ref, other = b_val, a_val
-    items = sorted(ref.items(), reverse=True)
-    signs = [c for _, c in items]
-    if len(items) % 2 == 0 or not items:
+    if len(ref.terms) % 2 == 0 or not signs_alternate(ref):
         return False
-    if signs[0] != 1 or any(x == y for x, y in zip(signs, signs[1:])):
-        return False
-    reflected = GreenElement.from_terms(ctx, [(pm - r, c) for r, c in items])
+    reflected = GreenElement.from_terms(ctx, [(pm - r, c) for r, c in ref.items()])
     return other == reflected
 
 

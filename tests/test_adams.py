@@ -27,6 +27,8 @@ from greenring import (
     spread,
     zero,
 )
+from greenring.adams import signs_alternate
+
 CTX7 = RingContext(7, 2)
 CTX3 = RingContext(3, 2)
 
@@ -83,9 +85,15 @@ class TestSpread:
         assert spread(CTX3, 1, 2, basis_element(CTX3, 2)) == parse_element(CTX3, "V8-V4")
 
     def test_boundary_cancellation(self):
-        # V_{ip^m - r} vanishes when r = p^m and i = 1... the i*p^m - p^m = 0 term drops
+        # V_{ip^m - r} vanishes when r = p^m and i = 1: the V_0 term drops
         got = spread(CTX3, 1, 1, basis_element(CTX3, 3))
         assert got == basis_element(CTX3, 6)
+        for ctx in (CTX3, CTX7, RingContext(2, 4), RingContext(5, 3)):
+            for m in range(ctx.nu):
+                pm = ctx.p**m
+                got = spread(ctx, m, 1, basis_element(ctx, pm))
+                assert got == basis_element(ctx, 2 * pm), (ctx, m)
+                assert got.terms == ((2 * pm, 1),)
 
     def test_support_checked(self):
         with pytest.raises(SupportError):
@@ -299,6 +307,12 @@ class TestCache:
         clear_cache()
         assert adams_basis(CTX3, 2, 9) == basis_element(CTX3, 9)
 
+    def test_basis_module_gets_memoized_value(self):
+        value = adams_basis(CTX7, 4, 23)
+        assert adams(CTX7, 4, basis_element(CTX7, 23)) is value
+        assert adams(CTX7, 4, 2 * basis_element(CTX7, 23)) == 2 * value
+        assert adams(CTX7, 4, -basis_element(CTX7, 23)) == -value
+
 
 class TestShapeCheck:
     def test_worked_example_passes(self):
@@ -327,6 +341,14 @@ class TestShapeCheck:
         for s in range(1, CTX7.order + 1):
             value = adams_basis(CTX7, 5, s)
             assert all(r % 2 == s % 2 for r in value.support())
+
+    @pytest.mark.parametrize(
+        "literal, ok",
+        [("V5-V3+V1", True), ("V9", True), ("0", True), ("-V5+V3", False),
+         ("V5+V3", False), ("V5-V3-V1", False)],
+    )
+    def test_signs_alternate(self, literal, ok):
+        assert signs_alternate(parse_element(CTX3, literal)) is ok
 
     def test_clause_enum_order(self):
         assert [c.value for c in ShapeClause] == [

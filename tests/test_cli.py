@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -147,10 +148,40 @@ class TestTableCommand:
         assert text.startswith("s,dim,expression\n")
         assert "\r" not in text
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_matches_stdout(self, tmp_path, capsys, fmt):
+        args = ["table", "--p", "3", "--nu", "2", "--n", "2", "--format", fmt]
+        assert main(args) == 0
+        shown = capsys.readouterr().out
+        target = tmp_path / f"table.{fmt}"
+        assert main([*args, "--out", str(target)]) == 0
+        assert target.read_text(encoding="utf-8") == shown
+        assert capsys.readouterr().out == ""
+
     def test_unwritable_out_exits_one(self):
         assert main(
             ["table", "--p", "3", "--nu", "1", "--n", "2", "--out", "/nonexistent/x.csv"]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["--p", "31", "--nu", "2", "--n", "3"],
+                "7d616c4af778b83110b43ee3cff235d846ca4c630cba8ac3c3e0ac3161ce5c8c",
+            ),
+            (
+                ["--p", "5", "--nu", "4", "--n", "3", "--format", "json"],
+                "d14bca87c148438bdfed2e01598d1d60f7ca6315cacc2fd37584acaad2b77ef9",
+            ),
+        ],
+    )
+    def test_golden_digest(self, args, digest, capsys):
+        # SHA-256 of stdout as printed when elements were stored densely;
+        # a change of storage or recursion must not move a single byte
+        assert main(["table", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestVerifyCommand:

@@ -118,6 +118,42 @@ class TestArithmetic:
         assert dim(a + b) == dim(a) + dim(b)
 
 
+class TestSparseStorage:
+    @given(
+        st.sampled_from([RingContext(3, 2), RingContext(2, 4), RingContext(7, 1)]).flatmap(
+            lambda ctx: st.tuples(
+                st.just(ctx),
+                st.dictionaries(st.integers(1, ctx.order), st.integers(-4, 4), max_size=6),
+            )
+        )
+    )
+    def test_dense_and_sparse_constructors_agree(self, ctx_terms):
+        ctx, terms = ctx_terms
+        dense = [0] * ctx.order
+        for r, c in terms.items():
+            dense[r - 1] = c
+        a = GreenElement(ctx, dense)
+        b = GreenElement.from_terms(ctx, terms)
+        assert a == b and hash(a) == hash(b)
+        assert a.coeffs == b.coeffs == tuple(dense)
+        assert list(a.items()) == list(b.items()) == sorted((r, c) for r, c in terms.items() if c)
+        for r in range(1, ctx.order + 1):
+            assert a.coeff(r) == b.coeff(r) == dense[r - 1]
+        assert GreenElement(ctx, b.coeffs) == b
+
+    def test_unit_terms_shared(self):
+        dense = [0] * CTX.order
+        dense[4], dense[6] = -1, 2
+        a = GreenElement(CTX, dense)
+        b = GreenElement.from_terms(CTX, {5: -1, 7: 3}) - basis_element(CTX, 7)
+        assert a == b and a.terms == ((5, -1), (7, 2))
+        assert a.terms[0] is b.terms[0]
+
+    def test_coeff_range_checked(self):
+        with pytest.raises(IndexRangeError):
+            basis_element(CTX, 1).coeff(CTX.order + 1)
+
+
 class TestDim:
     def test_basis(self):
         assert dim(basis_element(CTX, 5)) == 5

@@ -1,0 +1,82 @@
+"""Seeded identity sweeps at contexts the GF(p) oracle cannot reach.
+
+At (1021,1), (31,2) and (2,10) the matrices behind the oracle are far too
+large, so these sweeps check what the paper guarantees without matrices: the
+shape law and dimension over a whole Adams table, multiplicativity of the
+Adams operations on basis products, and exactness of the Newton divisions.
+Each sweep is seeded and bounded so it stays within a few seconds.
+"""
+
+import math
+import random
+
+import pytest
+
+from greenring import (
+    RingContext,
+    adams,
+    adams_basis,
+    basis_element,
+    dim,
+    exterior_power,
+    fold_exponent,
+    multiply,
+    shape_check,
+    symmetric_power,
+)
+
+SEED = 20090912
+
+
+def _folded_exponent(ctx, rng):
+    """A seeded exponent coprime to p whose fold is not the identity (if p > 2)."""
+    while True:
+        n = rng.randrange(1, 4 * ctx.p)
+        if n % ctx.p and (ctx.p == 2 or fold_exponent(ctx, n) != 1):
+            return n
+
+
+@pytest.mark.parametrize("p, nu", [(1021, 1), (31, 2)])
+def test_whole_table_shape_and_dimension(p, nu):
+    ctx = RingContext(p, nu)
+    n = _folded_exponent(ctx, random.Random(SEED + p))
+    bad = []
+    for s in range(1, ctx.order + 1):
+        verdict = shape_check(ctx, n, s)
+        if not verdict.ok or dim(adams_basis(ctx, n, s)) != s:
+            bad.append((s, verdict.violated))
+    assert not bad, (n, bad[:5])
+
+
+# A cold basis product at (31,2) costs up to a few ms and a uniform pair of
+# Adams values there has supports of ~80 terms each, so the right-hand side
+# of one check can need ~6,000 products.  Pairs needing more than this many
+# are redrawn; about one uniform pair in eight qualifies at (31,2), and every
+# pair at (2,10), where each admissible exponent folds to 1.
+MAX_BASIS_PAIRS = 400
+
+
+@pytest.mark.parametrize("p, nu", [(31, 2), (2, 10)])
+def test_adams_multiplicative_on_basis_products(p, nu):
+    ctx = RingContext(p, nu)
+    rng = random.Random(SEED + p)
+    checked = 0
+    while checked < 20:
+        n = _folded_exponent(ctx, rng)
+        a, b = rng.randint(1, ctx.order), rng.randint(1, ctx.order)
+        psi_a, psi_b = adams_basis(ctx, n, a), adams_basis(ctx, n, b)
+        if len(psi_a.terms) * len(psi_b.terms) > MAX_BASIS_PAIRS:
+            continue
+        lhs = adams(ctx, n, multiply(basis_element(ctx, a), basis_element(ctx, b)))
+        assert lhs == multiply(psi_a, psi_b), (n, a, b)
+        checked += 1
+
+
+def test_newton_squares_divide_exactly():
+    # exterior_power and symmetric_power assert each Newton division is exact
+    ctx = RingContext(31, 2)
+    rng = random.Random(SEED)
+    for s in rng.sample(range(1, ctx.order + 1), 10):
+        v = basis_element(ctx, s)
+        assert dim(exterior_power(ctx, 2, v)) == math.comb(s, 2), s
+        assert dim(symmetric_power(ctx, 2, v)) == math.comb(s + 1, 2), s
