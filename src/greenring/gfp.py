@@ -1,9 +1,17 @@
 """Exact linear algebra over GF(p) on numpy int64 arrays.
 
 Everything here is integer arithmetic; no floating point is used anywhere.
-Work arrays accumulate unreduced values between pivot steps, which stays far
-inside int64 (bounded by dim * (p-1)^2 per step), and rows or columns are
-reduced mod p exactly where a zero test or an inverse is required.
+Factors are reduced mod p before they are multiplied, so each product adds
+at most (p-1)^2 in magnitude: a d-term dot product, or d rank-1 updates of
+one entry, stays within d*(p-1)^2 of its start, far inside int64 for every
+prime and dimension the ring contexts and the oracle cap admit.  Other
+values are reduced exactly where a zero test or an inverse needs them.
+
+The oracle decomposes a unipotent matrix from the rank profile of its
+displacement N, computed by Gauss-Jordan elimination on ever smaller
+restrictions of N.  Elimination updates only the rows a pivot column
+touches, and each restriction is formed from the rows off the pivots, so the
+sparse displacements of induced Jordan actions stay cheap throughout.
 """
 
 from __future__ import annotations
@@ -34,6 +42,13 @@ def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns (e, pivots) where e holds one column per pivot, e[pivots, :] is
     the identity, and the columns of e span the column space of m.
+
+    Gauss-Jordan over the rows in order.  Each pivot step clears its row in
+    every other column, so when row i is reached every row above it is zero
+    in the columns not yet pivoted; the rank-1 update therefore touches only
+    the rows where the normalised pivot column is nonzero, at or below i.
+    A row is reduced mod p when it is reached; until then each step changes
+    its entries by at most (p-1)^2, d*(p-1)^2 in all.
     """
     a = np.array(m, dtype=np.int64)
     d, n = a.shape
@@ -49,19 +64,15 @@ def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         j = c + int(nz[0])
         if j != c:
             a[:, [c, j]] = a[:, [j, c]]
-        col = a[:, c] % p
-        col = (col * mod_inverse(int(col[i]), p)) % p
-        f = a[i, :].copy()
-        a -= np.outer(col, f)
-        a[:, c] = col
+        rows = i + np.flatnonzero(a[i:, c] % p)
+        col = (a[rows, c] % p) * mod_inverse(int(a[i, c]), p) % p
+        a[rows] -= np.outer(col, a[i, :])
+        a[i:, c] = 0
+        a[rows, c] = col
         pivots.append(i)
         c += 1
     e = a[:, :c] % p
     return e, pivots
-
-
-def rank(m: np.ndarray, p: int) -> int:
-    return len(column_basis(m, p)[1])
 
 
 def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
@@ -70,7 +81,9 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     Computed on shrinking restrictions: once a reduced basis e of the image
     with pivot rows piv is known, the operator restricted to its own image
     is (M @ e)[piv] in e-coordinates, so the k-th step runs at the current
-    rank rather than the ambient dimension.
+    rank rather than the ambient dimension.  Since e[piv] is the identity,
+    that restriction is M[piv, piv] + M[piv, free] @ e[free], with free the
+    rows off the pivots: a product over d - r rows instead of d.
     """
     d = n_mat.shape[0]
     ranks = [d]
@@ -81,10 +94,15 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
         ranks.append(r)
         if r == 0 or len(ranks) > max_k:
             break
-        m = (m @ e) % p
-        m = m[piv, :]
-    while len(ranks) <= max_k:
-        ranks.append(0 if ranks[-1] == 0 else ranks[-1])
+        free = np.ones(m.shape[0], dtype=bool)
+        free[piv] = False
+        e_free = e[free]
+        del e
+        x = m[np.ix_(piv, np.flatnonzero(free))] @ e_free
+        x += m[np.ix_(piv, piv)]
+        x %= p
+        m = x
+    ranks += [0] * (max_k + 1 - len(ranks))
     return ranks
 
 

@@ -414,7 +414,8 @@ def run_oracle(ctx: RingContext) -> SuiteReport:
 
     # multiply itself comes from the ladder, so the clauses above are partly
     # circular; this one checks ladder basis products against the oracle's
-    # matrix route on a seeded sample of pairs the oracle cap admits
+    # pair_product, the chain-ring Smith valuations of the Jordan pair, on a
+    # seeded sample of pairs the oracle cap admits
     pair_rng = random.Random(6043)
     limit = oracle_cap()
     bad = []
