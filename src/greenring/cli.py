@@ -98,10 +98,7 @@ def _input_element(ctx: RingContext, args: argparse.Namespace) -> GreenElement:
         if not 1 <= args.s <= ctx.order:
             raise UsageError(f"--s must be in 1..{ctx.order}, got {args.s}")
         return basis_element(ctx, args.s)
-    try:
-        return parse_element(ctx, args.element)
-    except GreenRingError as exc:
-        raise UsageError(str(exc)) from exc
+    return parse_or_usage(ctx, args.element)
 
 
 def _emit_element(value: GreenElement, fmt: str) -> None:
@@ -111,12 +108,16 @@ def _emit_element(value: GreenElement, fmt: str) -> None:
         print(format_element(value))
 
 
+def _check_adams_exponent(ctx: RingContext, n: int) -> None:
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
+    if n % ctx.p == 0:
+        raise UsageError("n divisible by p: out of scope for this operation")
+
+
 def _cmd_psi(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.n % ctx.p == 0:
-        raise UsageError("n divisible by p: out of scope for this operation")
+    _check_adams_exponent(ctx, args.n)
     w = _input_element(ctx, args)
     _emit_element(adams(ctx, args.n, w), args.format)
     return 0
@@ -149,10 +150,7 @@ def _cmd_power(args: argparse.Namespace, kind: str) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.n % ctx.p == 0:
-        raise UsageError("n divisible by p: out of scope for this operation")
+    _check_adams_exponent(ctx, args.n)
     values = [adams(ctx, args.n, basis_element(ctx, s)) for s in range(1, ctx.order + 1)]
     chunks = _table_chunks(ctx, args.n, values, args.format)
     if args.out:
@@ -215,10 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GreenRingError as exc:
+    except (UsageError, GreenRingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

@@ -169,23 +169,14 @@ def smith_chain_valuations(
             rows_nz = np.flatnonzero(q.any(axis=1))
             if rows_nz.size:
                 s_idx = np.flatnonzero(q[rows_nz].any(axis=0))
-                row = P[t, t:, :blen].copy()
-                if rows_nz.size * 3 < q.shape[0]:
-                    # few affected rows: gather, update, scatter back
-                    block = P[t + 1 + rows_nz][:, t:, :blen]
-                    qg = q[rows_nz]
-                    for s in s_idx:
-                        s = int(s)
-                        block[:, :, s:] -= qg[:, s][:, None, None] * row[None, :, : blen - s]
-                    P[t + 1 + rows_nz, t:, :blen] = block % p
-                else:
-                    lo = int(rows_nz[0])
-                    for s in s_idx:
-                        s = int(s)
-                        P[t + 1 + lo :, t:, s:blen] -= (
-                            q[lo:, s][:, None, None] * row[None, :, : blen - s]
-                        )
-                    P[t + 1 + lo :, t:, :blen] %= p
+                # gather the affected rows, update them, scatter them back
+                row = P[t, t:, :blen]
+                block = P[t + 1 + rows_nz, t:, :blen]
+                qg = q[rows_nz]
+                for s in s_idx:
+                    s = int(s)
+                    block[:, :, s:] -= qg[:, s][:, None, None] * row[None, :, : blen - s]
+                P[t + 1 + rows_nz, t:, :blen] = block % p
                 if aug is not None:
                     zrow = aug[t].copy()
                     for s in s_idx:
@@ -250,8 +241,8 @@ def jordan_pair_rank_profile(a: int, b: int, p: int, max_k: int) -> list[int]:
         ranks.append(r)
         if r == 0:
             break
-    while len(ranks) <= max_k:
-        ranks.append(0 if ranks[-1] == 0 else ranks[-1])
+    # N^(a+b-1) = 0, so a profile that stops early stops at rank 0
+    ranks += [0] * (max_k + 1 - len(ranks))
     return ranks
 
 
@@ -324,9 +315,10 @@ def square_pair_split_profiles(
         ws.append(r - j_k)
         if rank_k == 0:
             break
-    while len(ranks) <= max_k:
-        ranks.append(0 if ranks[-1] == 0 else ranks[-1])
-        ws.append(0 if ranks[-1] == 0 else ws[-1])
+    # N^(2r-1) = 0, so a profile that stops early stops at rank 0 (and w 0)
+    pad = max_k + 1 - len(ranks)
+    ranks += [0] * pad
+    ws += [0] * pad
     alt = []
     sym = []
     for rank_k, w_k in zip(ranks, ws):

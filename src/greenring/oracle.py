@@ -8,6 +8,11 @@ multiplicities.  The oracle is ground truth only: the library's
 multiplication comes from the generator ladder in core, and the oracle's
 pair_product and decompose check it independently.  GREENRING_ORACLE_CAP
 bounds the induced dimension of these matrix routes and nothing else.
+
+Each decomposition of a power of a basis module has one route, fixed by its
+input: a square (n = 2) at odd p goes through the chain-ring split of
+J_r tensor J_r, which yields both halves at once, and every other power
+builds its induced matrix and decomposes it.
 """
 
 from __future__ import annotations
@@ -30,10 +35,6 @@ from .errors import (
 DEFAULT_ORACLE_CAP = 20000
 ORACLE_CAP_ENV = "GREENRING_ORACLE_CAP"
 
-# Largest induced dimension decomposed via the literal matrix route before
-# wedge/sym of a basis module switches to the split fast path.
-_GENERIC_DIM_LIMIT = 200
-
 
 def oracle_cap() -> int:
     """Induced-space dimension cap; override with GREENRING_ORACLE_CAP."""
@@ -54,11 +55,12 @@ class JordanModule:
     blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(sorted(int(b) for b in self.blocks))
-        for b in blocks:
+        for b in self.blocks:
+            if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+                raise IndexRangeError(f"block size {b!r} is not an integer")
             if not 1 <= b <= self.ctx.order:
                 raise IndexRangeError(f"block size {b} outside 1..{self.ctx.order}")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(sorted(int(b) for b in self.blocks)))
 
     @property
     def dimension(self) -> int:
@@ -130,64 +132,54 @@ def _column_supports(ctx: RingContext, a: np.ndarray) -> list[list[tuple[int, in
         cols.append([(int(i), int(a[i, t])) for i in nz])
     return cols
 
-def wedge(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
-    """Induced action on the n-th exterior power.
 
-    Basis: strictly increasing n-subsets of the standard basis in
-    lexicographic order, with signs from permutation parity.
+def _induced_power(
+    ctx: RingContext, n: int, a: np.ndarray, alternating: bool
+) -> np.ndarray:
+    """Induced action of a on the n-th exterior (alternating) or symmetric power.
+
+    An exterior term skips a repeated index and takes the sign of the parity
+    of its indices above the new one.
     """
-    d = a.shape[0]
-    if not 0 <= n <= d:
-        raise IndexRangeError(f"exterior degree {n} outside 0..{d}")
-    size = math.comb(d, n)
-    _check_capacity(size)
-    basis = list(combinations(range(d), n))
+    pick = combinations if alternating else combinations_with_replacement
+    basis = list(pick(range(a.shape[0]), n))
     index = {t: i for i, t in enumerate(basis)}
     cols = _column_supports(ctx, a)
-    out = np.zeros((size, size), dtype=np.int64)
+    out = np.zeros((len(basis), len(basis)), dtype=np.int64)
     for ci, tup in enumerate(basis):
         terms: list[tuple[list[int], int]] = [([], 1)]
         for t in tup:
             new_terms = []
             for idx, val in terms:
                 for row, v in cols[t]:
-                    if row in idx:
-                        continue
-                    pos = len([x for x in idx if x < row])
-                    sign = -1 if (len(idx) - pos) % 2 else 1
-                    new_terms.append((sorted(idx + [row]), sign * val * v))
-            terms = new_terms
-        for idx, val in terms:
-            out[index[tuple(idx)], ci] += val
-    return out % ctx.p
-
-
-def sym(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
-    """Induced action on the n-th symmetric power.
-
-    Basis: non-decreasing n-multisets of the standard basis in lexicographic
-    order.
-    """
-    d = a.shape[0]
-    if n < 0:
-        raise IndexRangeError(f"symmetric degree {n} must be >= 0")
-    size = math.comb(d + n - 1, n) if n else 1
-    _check_capacity(size)
-    basis = list(combinations_with_replacement(range(d), n))
-    index = {t: i for i, t in enumerate(basis)}
-    cols = _column_supports(ctx, a)
-    out = np.zeros((size, size), dtype=np.int64)
-    for ci, tup in enumerate(basis):
-        terms: list[tuple[list[int], int]] = [([], 1)]
-        for t in tup:
-            new_terms = []
-            for idx, val in terms:
-                for row, v in cols[t]:
+                    if alternating:
+                        if row in idx:
+                            continue
+                        if len([x for x in idx if x > row]) % 2:
+                            v = -v
                     new_terms.append((sorted(idx + [row]), val * v))
             terms = new_terms
         for idx, val in terms:
             out[index[tuple(idx)], ci] += val
     return out % ctx.p
+
+
+def wedge(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
+    """Induced action on the n-th exterior power (basis: increasing n-subsets)."""
+    d = a.shape[0]
+    if not 0 <= n <= d:
+        raise IndexRangeError(f"exterior degree {n} outside 0..{d}")
+    _check_capacity(math.comb(d, n))
+    return _induced_power(ctx, n, a, alternating=True)
+
+
+def sym(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
+    """Induced action on the n-th symmetric power (basis: non-decreasing n-multisets)."""
+    d = a.shape[0]
+    if n < 0:
+        raise IndexRangeError(f"symmetric degree {n} must be >= 0")
+    _check_capacity(math.comb(d + n - 1, n) if n else 1)
+    return _induced_power(ctx, n, a, alternating=False)
 
 
 def _profile_to_report(
@@ -220,10 +212,14 @@ def decompose(ctx: RingContext, g: np.ndarray) -> DecompositionReport:
 
     The multiplicity of the size-k block is the second difference
     rank(N^{k-1}) - 2 rank(N^k) + rank(N^{k+1}) of the displacement
-    N = g - 1.  Raises InvalidModuleError unless g is square and unipotent
-    with order dividing the group order.
+    N = g - 1.  Raises InvalidModuleError unless g is an integer (not bool)
+    array or nested list, square, and unipotent with order dividing the
+    group order.
     """
-    g = np.asarray(g, dtype=np.int64)
+    g = np.asarray(g)
+    if not np.issubdtype(g.dtype, np.integer):  # bool is not an integer dtype
+        raise InvalidModuleError(f"matrix entries must be integers, got dtype {g.dtype}")
+    g = g.astype(np.int64, copy=False)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InvalidModuleError(f"matrix shape {g.shape} is not square")
     d = g.shape[0]
@@ -258,7 +254,7 @@ _POWER_CACHE: dict[tuple, DecompositionReport] = {}
 
 
 def _power_decomposition(
-    ctx: RingContext, kind: str, n: int, r: int, route: str
+    ctx: RingContext, kind: str, n: int, r: int
 ) -> DecompositionReport:
     if not 1 <= r <= ctx.order:
         raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
@@ -270,39 +266,36 @@ def _power_decomposition(
     else:
         size = math.comb(r + n - 1, n) if n else 1
     _check_capacity(size)
-    if route == "auto":
-        split_ok = n == 2 and ctx.p != 2
-        route = "split" if split_ok and size > _GENERIC_DIM_LIMIT else "matrix"
-    key = (ctx.p, ctx.nu, kind, n, r, route)
+    key = (ctx.p, ctx.nu, kind, n, r)
     hit = _POWER_CACHE.get(key)
     if hit is not None:
         return hit
-    if route == "split":
-        if n != 2 or ctx.p == 2:
-            raise ValueError("split route only applies to squares at odd p")
+    if n == 2 and ctx.p != 2:
         alt, symm = gfp.square_pair_split_profiles(r, ctx.p, ctx.order)
         wedge_report = _profile_to_report(ctx, alt, math.comb(r, 2))
         sym_report = _profile_to_report(ctx, symm, math.comb(r + 1, 2))
-        _POWER_CACHE.setdefault((ctx.p, ctx.nu, "wedge", n, r, route), wedge_report)
-        _POWER_CACHE.setdefault((ctx.p, ctx.nu, "sym", n, r, route), sym_report)
+        _POWER_CACHE.setdefault((ctx.p, ctx.nu, "wedge", n, r), wedge_report)
+        _POWER_CACHE.setdefault((ctx.p, ctx.nu, "sym", n, r), sym_report)
         return wedge_report if kind == "wedge" else sym_report
-    if route != "matrix":
-        raise ValueError(f"unknown route {route!r}")
     build = wedge if kind == "wedge" else sym
     report = decompose(ctx, build(ctx, n, realize(ctx, r)))
     _POWER_CACHE.setdefault(key, report)
     return report
 
 
-def wedge_decomposition(
-    ctx: RingContext, n: int, r: int, route: str = "auto"
-) -> DecompositionReport:
-    """Decomposition of the n-th exterior power of the basis module V_r."""
-    return _power_decomposition(ctx, "wedge", n, r, route)
+def wedge_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport:
+    """Decomposition of the n-th exterior power of the basis module V_r.
+
+    One route: the chain-ring split for a square at odd p, else the literal
+    wedge matrix.
+    """
+    return _power_decomposition(ctx, "wedge", n, r)
 
 
-def sym_decomposition(
-    ctx: RingContext, n: int, r: int, route: str = "auto"
-) -> DecompositionReport:
-    """Decomposition of the n-th symmetric power of the basis module V_r."""
-    return _power_decomposition(ctx, "sym", n, r, route)
+def sym_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport:
+    """Decomposition of the n-th symmetric power of the basis module V_r.
+
+    One route: the chain-ring split for a square at odd p, else the literal
+    sym matrix.
+    """
+    return _power_decomposition(ctx, "sym", n, r)

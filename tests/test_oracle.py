@@ -33,6 +33,7 @@ from greenring import (
     wedge_decomposition,
     zero,
 )
+from greenring import gfp, oracle
 from greenring.core import basis_product
 
 CTX3 = RingContext(3, 2)
@@ -109,6 +110,20 @@ class TestDecompose:
         with pytest.raises(InvalidModuleError):
             decompose(CTX3, np.zeros((2, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "g",
+        [[[1.5]], realize(CTX3, 2) + 0.2, [["1"]], [[True]]],
+        ids=["float", "float-array", "str", "bool"],
+    )
+    def test_rejects_non_integer_entries(self, g):
+        # no coercion: 1.5 would truncate to V1, J_2 + 0.2 to V2
+        with pytest.raises(InvalidModuleError):
+            decompose(CTX3, g)
+
+    def test_accepts_integer_lists(self):
+        assert decompose(CTX3, [[1, 1], [0, 1]]).multiplicities == ((2, 1),)
+        assert decompose(CTX3, np.eye(2, dtype=np.int32)).multiplicities == ((1, 2),)
+
     def test_block_diagonal_multiset(self):
         mod = JordanModule(CTX3, (2, 3, 3, 9))
         rep = decompose(CTX3, mod.to_matrix())
@@ -181,17 +196,40 @@ class TestInducedPowers:
         assert rep.to_element().is_zero()
         assert set(rep.rank_profile) == {0}
 
-    def test_split_route_agrees_across_contexts(self, ctx33, ctx72):
-        for ctx, rs in ((ctx33, (14, 20, 27)), (ctx72, (16, 22)), (CTX5, (17, 25))):
+    def test_split_route_agrees_across_contexts(self, ctx33, ctx72, monkeypatch):
+        # a square at odd p always takes the chain-ring split, never a matrix;
+        # the literal wedge/sym matrices are the independent check
+        monkeypatch.setattr(oracle, "_POWER_CACHE", {})
+        monkeypatch.setattr(oracle, "decompose", _route_not_taken)
+        cases = [(ctx33, (14, 20, 27)), (ctx72, (16, 22)), (CTX5, (17, 25))]
+        cases += [(ctx, range(2, 14)) for ctx in (ctx33, CTX5, ctx72)]
+        for ctx, rs in cases:
             for r in rs:
-                for kind_split, kind_matrix in (
-                    (wedge_decomposition, wedge_decomposition),
-                    (sym_decomposition, sym_decomposition),
-                ):
-                    a = kind_matrix(ctx, 2, r, route="matrix")
-                    b = kind_split(ctx, 2, r, route="split")
-                    assert a.multiplicities == b.multiplicities, (ctx.p, r)
-                    assert a.rank_profile == b.rank_profile, (ctx.p, r)
+                for power, build in ((wedge_decomposition, wedge), (sym_decomposition, sym)):
+                    split = power(ctx, 2, r)
+                    literal = decompose(ctx, build(ctx, 2, realize(ctx, r)))
+                    assert split.multiplicities == literal.multiplicities, (ctx.p, r)
+                    assert split.rank_profile == literal.rank_profile, (ctx.p, r)
+
+    def test_cap_applies_to_requested_half(self, monkeypatch):
+        # the split caches both halves; the cached sibling still obeys the cap
+        monkeypatch.setattr(oracle, "_POWER_CACHE", {})
+        monkeypatch.setenv("GREENRING_ORACLE_CAP", "15")
+        assert dim(wedge_decomposition(CTX5, 2, 6).to_element()) == 15
+        with pytest.raises(OracleCapacityError):
+            sym_decomposition(CTX5, 2, 6)
+
+    def test_p2_square_takes_matrix_route(self, ctx24, monkeypatch):
+        monkeypatch.setattr(oracle, "_POWER_CACHE", {})
+        monkeypatch.setattr(gfp, "square_pair_split_profiles", _route_not_taken)
+        for r in (2, 5, 9, 16):
+            for power, build in ((wedge_decomposition, wedge), (sym_decomposition, sym)):
+                literal = decompose(ctx24, build(ctx24, 2, realize(ctx24, r)))
+                assert power(ctx24, 2, r) == literal, r
+
+
+def _route_not_taken(*args):
+    raise AssertionError("wrong route for this power decomposition")
 
 
 class TestPairFastPath:
@@ -345,6 +383,17 @@ class TestJordanModule:
     def test_rejects_out_of_range_block(self):
         with pytest.raises(IndexRangeError):
             JordanModule(CTX3, (10,))
+
+    @pytest.mark.parametrize("blocks", [(2.7,), (True,), ("3",), (2.0,)])
+    def test_rejects_non_integer_block(self, blocks):
+        # int() would turn (2.7, True) into blocks (1, 2)
+        with pytest.raises(IndexRangeError):
+            JordanModule(CTX3, blocks)
+
+    def test_accepts_numpy_integer_blocks(self):
+        mod = JordanModule(CTX3, (np.int64(3), np.int32(1)))
+        assert mod.blocks == (1, 3)
+        assert all(type(b) is int for b in mod.blocks)
 
     def test_blocks_sorted_and_dimension(self):
         mod = JordanModule(CTX3, (3, 1, 2))
