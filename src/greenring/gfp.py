@@ -8,10 +8,12 @@ prime and dimension the ring contexts and the oracle cap admit.  Other
 values are reduced exactly where a zero test or an inverse needs them.
 
 The oracle decomposes a unipotent matrix from the rank profile of its
-displacement N, computed by Gauss-Jordan elimination on ever smaller
-restrictions of N.  Elimination updates only the rows a pivot column
-touches, and each restriction is formed from the rows off the pivots, so the
-sparse displacements of induced Jordan actions stay cheap throughout.
+displacement N, read off the kernel chain ker N, ker N^2, ...: one
+Gauss-Jordan elimination of [N; I] gives the image of N, a preimage map and
+ker N, and each later level eliminates only the residues against im N of at
+most 2(d - r) kernel vectors, r being the rank of N.  Elimination updates
+only the rows a pivot column touches, so the sparse displacements of induced
+Jordan actions stay cheap throughout.
 """
 
 from __future__ import annotations
@@ -78,31 +80,63 @@ def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     """[rank(N^0), rank(N^1), ..., rank(N^max_k)] for a square matrix N.
 
-    Computed on shrinking restrictions: once a reduced basis e of the image
-    with pivot rows piv is known, the operator restricted to its own image
-    is (M @ e)[piv] in e-coordinates, so the k-th step runs at the current
-    rank rather than the ambient dimension.  Since e[piv] is the identity,
-    that restriction is M[piv, piv] + M[piv, free] @ e[free], with free the
-    rows off the pivots: a product over d - r rows instead of d.
+    Read off the kernel chain: rank(N^k) = d - dim ker N^k, and
+    ker N^(k+1) = ker N + N^-1(ker N^k cap im N).  One column_basis of the
+    2d x d matrix [N; I] gives everything the chain needs.  Its pivots in
+    the top half are N's pivots piv, and the top of those columns is the
+    reduced image basis e (e[piv] = I); their bottom is a preimage map T,
+    N T = e.  The other columns have a zero top, and their bottom is a
+    basis of ker N.  A vector v lies in im N exactly when its residue
+    v[free] - e[free] v[piv] vanishes, free being the rows off piv.
+
+    Each level eliminates [residues; I] over the vectors new to ker N^k and
+    the at most d - r earlier ones kept because their residues are
+    independent.  The columns with a pivot in the residues are kept; the
+    others are null combinations y, which span the new part of
+    ker N^k cap im N, and T y[piv] are the vectors new to ker N^(k+1).  The
+    chain stops when a level adds nothing or max_k is reached, so the ranks
+    of a non-nilpotent N level off at the dimension of its invertible part.
+
+    The vectors of one level are independent, so every product sums at most
+    d terms of factors reduced mod p: entries stay within d*(p-1)^2, the
+    bound column_basis keeps on [N; I].
     """
     d = n_mat.shape[0]
     ranks = [d]
-    m = np.array(n_mat, dtype=np.int64) % p
-    while len(ranks) <= max_k and ranks[-1] > 0:
-        e, piv = column_basis(m, p)
-        r = len(piv)
-        ranks.append(r)
-        if r == 0 or len(ranks) > max_k:
+    if max_k == 0:
+        return ranks
+    # column_basis makes its own int64 copy; the input needs only 0..p-1
+    stacked = np.zeros((2 * d, d), dtype=np.min_scalar_type(p - 1))
+    stacked[:d] = n_mat % p
+    np.fill_diagonal(stacked[d:], 1)
+    basis, pivots = column_basis(stacked, p)
+    r = sum(1 for i in pivots if i < d)
+    piv = pivots[:r]
+    free = np.ones(d, dtype=bool)
+    free[piv] = False
+    e_free = basis[:d][free, :r]
+    t = basis[d:, :r]
+    new = basis[d:, r:]
+    kept_res = np.zeros((d - r, 0), dtype=np.int64)
+    kept_piv = np.zeros((r, 0), dtype=np.int64)
+    while new.shape[1]:
+        ranks.append(ranks[-1] - new.shape[1])
+        if ranks[-1] == 0 or len(ranks) > max_k:
             break
-        free = np.ones(m.shape[0], dtype=bool)
-        free[piv] = False
-        e_free = e[free]
-        del e
-        x = m[np.ix_(piv, np.flatnonzero(free))] @ e_free
-        x += m[np.ix_(piv, piv)]
-        x %= p
-        m = x
-    ranks += [0] * (max_k + 1 - len(ranks))
+        new_piv = new[piv]
+        res = np.hstack([kept_res, (new[free] - e_free @ new_piv) % p])
+        at_piv = np.hstack([kept_piv, new_piv])
+        eye = np.eye(res.shape[1], dtype=np.int64)
+        split, spiv = column_basis(np.vstack([res, eye]), p)
+        # pivots in the residue rows: kept; in the identity rows: null
+        s = sum(1 for i in spiv if i < d - r)
+        kept_res = split[: d - r, :s]
+        kept_piv = at_piv @ split[d - r :, :s] % p
+        y_piv = at_piv @ split[d - r :, s:] % p
+        # only the nonzero rows of y[piv] meet T (a third or so on tensors)
+        rows = np.flatnonzero(y_piv.any(axis=1))
+        new = t[:, rows] @ y_piv[rows] % p
+    ranks += [ranks[-1]] * (max_k + 1 - len(ranks))
     return ranks
 
 

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from greenring import gfp
+from greenring import RingContext, gfp, oracle
 
 PRIMES = (2, 3, 5, 7, 31, 1021)
 
@@ -158,6 +158,12 @@ def conjugated_jordan(rng, sizes, p):
         for i in range(s - 1):
             n[at + i, at + i + 1] = 1
         at += s
+    return random_conjugate(rng, n, p)
+
+
+def random_conjugate(rng, n, p):
+    """P n P^-1 for a dense random P = L U, L and U unit triangular."""
+    d = n.shape[0]
     lower = np.tril(random_matrix(rng, d, d, p, 1.0), -1) + np.eye(d, dtype=np.int64)
     upper = np.triu(random_matrix(rng, d, d, p, 1.0), 1) + np.eye(d, dtype=np.int64)
     pm = (lower @ upper) % p
@@ -215,3 +221,72 @@ class TestRankProfile:
 
     def test_empty(self):
         assert gfp.rank_profile(np.zeros((0, 0), dtype=np.int64), 2, 3) == [0, 0, 0, 0]
+
+    def test_invertible_plus_nilpotent(self):
+        # an invertible 3 x 3 block beside nilpotent blocks of sizes 4 and 2:
+        # the ranks fall to 3 and stay there
+        for p in (2, 3, 7):
+            rng = random.Random(7800 + p)
+            a = random_matrix(rng, 3, 3, p, 1.0)
+            while reference_rank(a, p) < 3:
+                a = random_matrix(rng, 3, 3, p, 1.0)
+            n = np.zeros((9, 9), dtype=np.int64)
+            n[:3, :3] = a
+            n[3:, 3:] = conjugated_jordan(rng, [4, 2], p)
+            n = random_conjugate(rng, n, p)
+            expected = [3 + r for r in block_ranks([4, 2], 7)]
+            assert expected[-4:] == [3, 3, 3, 3]
+            assert power_ranks(n, p, 7) == expected
+            assert gfp.rank_profile(n, p, 7) == expected
+
+    def test_small_max_k(self):
+        rng = random.Random(7900)
+        for p in (2, 5):
+            n = conjugated_jordan(rng, [6, 3, 1], p)
+            general = random_matrix(rng, 10, 10, p, 0.4)
+            for m in (n, general):
+                # 0, 1 and every cut below the nilpotency index 6
+                for max_k in range(6):
+                    assert gfp.rank_profile(m, p, max_k) == power_ranks(m, p, max_k)
+
+    @pytest.mark.parametrize("p", (2, 3, 1021))
+    def test_one_by_one(self, p):
+        for value in (0, p, -p):
+            assert gfp.rank_profile(np.array([[value]]), p, 3) == [1, 0, 0, 0]
+        for value in (1, p - 1, p + 1, -1):
+            assert gfp.rank_profile(np.array([[value]]), p, 3) == [1, 1, 1, 1]
+        assert gfp.rank_profile(np.array([[1]]), p, 0) == [1]
+
+    @pytest.mark.parametrize("p, nu", [(2, 3), (3, 2)])
+    def test_induced_displacements(self, p, nu):
+        # the sparse displacements the oracle decomposes: tensors of Jordan
+        # blocks and their third exterior and symmetric powers
+        ctx = RingContext(p, nu)
+        q = ctx.order
+        mats = [oracle.tensor(ctx, oracle.realize(ctx, a), oracle.realize(ctx, b))
+                for a, b in ((2, 3), (4, 5), (5, 7))]
+        mats += [oracle.wedge(ctx, 3, oracle.realize(ctx, r)) for r in (3, 5, 7)]
+        mats += [oracle.sym(ctx, 3, oracle.realize(ctx, r)) for r in (2, 3, 5)]
+        for g in mats:
+            n = (g - np.eye(g.shape[0], dtype=np.int64)) % p
+            assert gfp.rank_profile(n, p, q) == power_ranks(n, p, q)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 31, 1021))
+    def test_dense_general(self, p):
+        # neither nilpotent nor invertible as a rule: full, low-rank and
+        # partly nilpotent matrices
+        rng = random.Random(8000 + p)
+        for _ in range(12):
+            d = rng.randint(1, 18)
+            kind = rng.randrange(3)
+            if kind == 0:
+                m = random_matrix(rng, d, d, p, 1.0)
+            elif kind == 1:
+                m = low_rank_matrix(rng, d, d, rng.randint(0, d), p)
+            else:
+                k = rng.randint(0, d)
+                m = np.zeros((d, d), dtype=np.int64)
+                m[:k, :k] = random_matrix(rng, k, k, p, 1.0)
+                m[k:, k:] = np.triu(random_matrix(rng, d - k, d - k, p, 0.7), 1)
+                m = random_conjugate(rng, m, p)
+            assert gfp.rank_profile(m, p, d + 1) == power_ranks(m, p, d + 1)

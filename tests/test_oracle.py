@@ -184,6 +184,28 @@ class TestInducedPowers:
         with pytest.raises(OracleCapacityError):
             tensor(CTX5, realize(CTX5, 3), realize(CTX5, 3))
 
+    @pytest.mark.parametrize("bad", ["float", "scaled", "bool"])
+    def test_matrix_routes_reject_non_integer_entries(self, bad):
+        # no truncation: J + 0.2 and 1.5 J would build the matrices of J
+        j = realize(CTX5, 3)
+        g = {"float": j + 0.2, "scaled": 1.5 * j, "bool": j.astype(bool)}[bad]
+        for build in (lambda: wedge(CTX5, 2, g), lambda: sym(CTX5, 2, g),
+                      lambda: tensor(CTX5, g, j), lambda: tensor(CTX5, j, g)):
+            with pytest.raises(InvalidModuleError):
+                build()
+
+    def test_matrix_routes_reject_non_square(self):
+        for build in (lambda a: wedge(CTX5, 1, a), lambda a: sym(CTX5, 1, a),
+                      lambda a: tensor(CTX5, a, a)):
+            with pytest.raises(InvalidModuleError):
+                build(np.zeros((2, 3), dtype=np.int64))
+
+    def test_matrix_routes_accept_integer_lists(self):
+        j = realize(CTX5, 3)
+        assert np.array_equal(wedge(CTX5, 2, j.tolist()), wedge(CTX5, 2, j))
+        assert np.array_equal(sym(CTX5, 2, j.astype(np.int32)), sym(CTX5, 2, j))
+        assert np.array_equal(tensor(CTX5, j.tolist(), j), tensor(CTX5, j, j))
+
     def test_cached_decompositions_match_direct(self):
         direct = decompose(CTX5, sym(CTX5, 3, realize(CTX5, 4)))
         assert sym_decomposition(CTX5, 3, 4).multiplicities == direct.multiplicities
@@ -254,6 +276,14 @@ class TestPairFastPath:
             fast = pair_product(ctx72, a, b)
             assert lit.multiplicities == fast.multiplicities
             assert lit.rank_profile == fast.rank_profile
+
+    def test_literal_tensor_at_scale(self, ctx72):
+        # d = 676 and d = 900: the largest literal matrices any test decomposes
+        for a, b in [(26, 26), (30, 30)]:
+            lit = decompose(ctx72, tensor(ctx72, realize(ctx72, a), realize(ctx72, b)))
+            fast = pair_product(ctx72, a, b)
+            assert lit.rank_profile == fast.rank_profile, (a, b)
+            assert lit.multiplicities == fast.multiplicities, (a, b)
 
 
 class TestMultiply:

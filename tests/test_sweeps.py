@@ -3,7 +3,8 @@
 At (1021,1), (31,2) and (2,10) the matrices behind the oracle are far too
 large, so these sweeps check what the paper guarantees without matrices: the
 shape law and dimension over a whole Adams table, multiplicativity of the
-Adams operations on basis products, and exactness of the Newton divisions.
+Adams operations on basis products, exactness of the Newton divisions, and
+Gow-Laffey degree-2 reciprocity between exterior and symmetric squares.
 Each sweep is seeded and bounded so it stays within a few seconds.
 """
 
@@ -20,6 +21,7 @@ from greenring import (
     dim,
     exterior_power,
     fold_exponent,
+    gow_laffey_check,
     multiply,
     shape_check,
     symmetric_power,
@@ -80,3 +82,18 @@ def test_newton_squares_divide_exactly():
         v = basis_element(ctx, s)
         assert dim(exterior_power(ctx, 2, v)) == math.comb(s, 2), s
         assert dim(symmetric_power(ctx, 2, v)) == math.comb(s + 1, 2), s
+
+
+@pytest.mark.parametrize("p, nu", [(31, 2), (1021, 1)])
+def test_gow_laffey_reciprocity(p, nu):
+    # ten seeded (level, index) pairs; a pair costs at most ~0.2 s at (1021,1)
+    ctx = RingContext(p, nu)
+    rng = random.Random(SEED + 2 * p)
+    bad = []
+    for _ in range(10):
+        m = rng.randint(1, nu)
+        r = rng.randint(1, p**m)
+        verdict = gow_laffey_check(ctx, m, r)
+        if not verdict.ok:
+            bad.append((m, r, verdict))
+    assert not bad, bad
