@@ -4,15 +4,17 @@ The n-th operation is computed on basis modules by a level recursion that
 needs no ring multiplication: writing s = k p^m + r at the level m just below
 s, the value on V_s is assembled from the values on V_r and V_{p^m - r} by
 the spreading maps, with the exponents folded into 1..p-1 through the
-dihedral symmetry of period 2p.  The k + 1 spread terms are summed into one
-dict, so a value costs time in the supports involved, not in the group
-order.  Results are memoized per context.
+dihedral symmetry of period 2p.  The k + 1 spreads are added straight into
+the value's one accumulator dict, with no element built for any of them, so
+a value costs time in the supports involved, not in the group order.
+Results are memoized per context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .core import (
     GreenElement,
@@ -22,7 +24,6 @@ from .core import (
     multiply,
     one,
     ring_generator,
-    zero,
 )
 from .errors import (
     ContextMismatchError,
@@ -75,12 +76,38 @@ def spread(ctx: RingContext, m: int, i: int, w: GreenElement) -> GreenElement:
     pm = _check_support(ctx, m, w)
     if i == 0 or not w.terms:
         return w
-    base = i * pm
-    # base + r and base - r never collide; base - r >= 0, and it is 0 (V_0 = 0,
-    # so the term is dropped) exactly when i = 1 and r = p^m
-    acc = {base + r: c for r, c in w.terms}
-    acc.update((base - r, -c) for r, c in w.terms if r != base)
+    acc: dict[int, int] = {}
+    _spread_into(acc, i * pm, w.terms)
     return GreenElement._from_dict(ctx, acc)
+
+
+def _spread_into(acc: dict[int, int], base: int, terms: tuple[tuple[int, int], ...]) -> None:
+    """Add the spread of terms about base = i p^m into acc: +c at base + r, -c at base - r.
+
+    The terms lie in 1..p^m; base 0 (offset 0) adds them unchanged.  Otherwise
+    base - r >= 0, and it is 0 (V_0 = 0, so the term is dropped) exactly when
+    r = base, that is i = 1 and r = p^m.
+    """
+    get = acc.get
+    if not base:
+        for r, c in terms:
+            acc[r] = get(r, 0) + c
+        return
+    for r, c in terms:
+        t = base + r
+        acc[t] = get(t, 0) + c
+        if r != base:
+            t = base - r
+            acc[t] = get(t, 0) - c
+
+
+@lru_cache(maxsize=64)
+def _spread_offsets(ctx: RingContext, n: int) -> tuple[int, ...]:
+    """fold_exponent(ctx, j n) for j = 0..p-1: the offsets of the recursion for n.
+
+    n is coprime to p, so no j n with 0 < j < p is divisible by p.
+    """
+    return tuple(fold_exponent(ctx, j * n) for j in range(ctx.p))
 
 
 def _adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
@@ -96,13 +123,14 @@ def _adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
         q = ctx.p**m
         k = (s - 1) // q
         r = s - k * q
-        on_r = _adams_basis(ctx, n, r)
-        on_comp = _adams_basis(ctx, n, q - r) if q - r >= 1 else zero(ctx)
+        on_r = _adams_basis(ctx, n, r).terms
+        on_comp = _adams_basis(ctx, n, q - r).terms if q - r >= 1 else ()
         acc: dict[int, int] = {}
-        for j in range(k + 1):
-            target = on_r if (k - j) % 2 == 0 else on_comp
-            for t, c in spread(ctx, m, fold_exponent(ctx, j * n), target).terms:
-                acc[t] = acc.get(t, 0) + c
+        # offset j spreads the value on V_r when k - j is even, on V_{q-r} when odd
+        for target, first in ((on_r, k % 2), (on_comp, 1 - k % 2)):
+            if target:
+                for i in _spread_offsets(ctx, n)[first : k + 1 : 2]:
+                    _spread_into(acc, i * q, target)
         value = GreenElement._from_dict(ctx, acc)
     cache[key] = value
     return value

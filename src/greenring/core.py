@@ -435,16 +435,19 @@ def from_dict(data: Mapping) -> GreenElement:
 
 
 def format_element(a: GreenElement) -> str:
-    """Human-readable form in descending index order, e.g. "V5 - V3 + 2V1"."""
-    parts: list[str] = []
-    for r, c in reversed(a.terms):
-        mag = "" if abs(c) == 1 else str(abs(c))
-        term = f"{mag}V{r}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {term}")
-    return " ".join(parts) if parts else "0"
+    """Human-readable form in descending index order, e.g. "V5 - V3 + 2V1".
+
+    One pass: every term is written as "+ V5", "- 2V3", ..., and the leading
+    "+ " or "- " becomes "" or "-" after the join.
+    """
+    if not a.terms:
+        return "0"
+    text = " ".join([
+        f"+ V{r}" if c == 1 else f"- V{r}" if c == -1
+        else f"+ {c}V{r}" if c > 0 else f"- {-c}V{r}"
+        for r, c in reversed(a.terms)
+    ])
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 _TERM_RE = re.compile(r"\s*([+-])?\s*(\d+)?V(\d+)")

@@ -43,7 +43,10 @@ def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced column-echelon basis of the column space of m over GF(p).
 
     Returns (e, pivots) where e holds one column per pivot, e[pivots, :] is
-    the identity, and the columns of e span the column space of m.
+    the identity, and the columns of e span the column space of m.  e is a
+    view of the first columns of the private int64 working copy, reduced mod p
+    in place, so no second array of the input's size is allocated; m itself
+    is never written.
 
     Gauss-Jordan over the rows in order.  Each pivot step clears its row in
     every other column, so when row i is reached every row above it is zero
@@ -73,7 +76,8 @@ def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         a[rows, c] = col
         pivots.append(i)
         c += 1
-    e = a[:, :c] % p
+    e = a[:, :c]
+    e %= p
     return e, pivots
 
 

@@ -106,6 +106,68 @@ class TestSpread:
             spread(CTX3, 0, 3, one(CTX3))
 
 
+def defined_spread(ctx, m, i, w):
+    """V_r -> V_{ip^m+r} - V_{ip^m-r} as written, V_0 = 0 dropped by from_terms."""
+    if i == 0:
+        return w
+    base = i * ctx.p**m
+    return GreenElement.from_terms(
+        ctx, [(base + r, c) for r, c in w.terms] + [(base - r, -c) for r, c in w.terms]
+    )
+
+
+def reference_adams_basis(ctx, n, s, memo):
+    """The level recursion composed from the public spread map and +.
+
+    Each spread is also checked against its definition, so a fault shared by
+    spread and the recursion does not cancel out of the comparison.
+    """
+    if (n, s) not in memo:
+        if s == 1:
+            value = basis_element(ctx, 1)
+        else:
+            m = ctx.level(s) - 1
+            q = ctx.p**m
+            k = (s - 1) // q
+            r = s - k * q
+            on_r = reference_adams_basis(ctx, n, r, memo)
+            on_comp = reference_adams_basis(ctx, n, q - r, memo) if q - r >= 1 else zero(ctx)
+            value = zero(ctx)
+            for j in range(k + 1):
+                target = on_r if (k - j) % 2 == 0 else on_comp
+                i = fold_exponent(ctx, j * n)
+                term = spread(ctx, m, i, target)
+                assert term == defined_spread(ctx, m, i, target), (m, i, target)
+                value = value + term
+        memo[n, s] = value
+    return memo[n, s]
+
+
+class TestRecursionMatchesSpreadRoute:
+    @pytest.mark.parametrize("p,nu", [(3, 3), (5, 2), (7, 2), (2, 5)])
+    def test_folded_exponents(self, p, nu):
+        ctx = RingContext(p, nu)
+        clear_cache(ctx)
+        memo = {}
+        for n in range(1, p):
+            for s in range(1, ctx.order + 1):
+                assert adams_basis(ctx, n, s) == reference_adams_basis(ctx, n, s, memo), (n, s)
+
+    @pytest.mark.parametrize("p,nu", [(3, 3), (5, 2), (7, 2), (2, 5)])
+    def test_raw_exponents(self, p, nu):
+        # fold=False hands the recursion exponents beyond p, so j * n must be
+        # folded inside it, and offset 1 meets the dropped V_0 term
+        ctx = RingContext(p, nu)
+        clear_cache(ctx)
+        memo = {}
+        for n in range(1, 4 * p + 1):
+            if n % p == 0:
+                continue
+            for s in range(1, ctx.order + 1):
+                got = adams_basis(ctx, n, s, fold=False)
+                assert got == reference_adams_basis(ctx, n, s, memo), (n, s)
+
+
 class TestAdamsWorkedValues:
     def test_v2(self):
         assert format_element(adams_basis(CTX7, 4, 2)) == "V5 - V3"

@@ -174,11 +174,21 @@ class TestTableCommand:
                 ["--p", "5", "--nu", "4", "--n", "3", "--format", "json"],
                 "d14bca87c148438bdfed2e01598d1d60f7ca6315cacc2fd37584acaad2b77ef9",
             ),
+            (
+                ["--p", "1021", "--nu", "1", "--n", "5"],
+                "fd78b038320cbbebca5e386b642934521de4b746a990b3a29b631f1d6fb99481",
+            ),
+            (
+                ["--p", "31", "--nu", "2", "--n", "11", "--format", "json"],
+                "fc264f3a6f6f77977473e0f60747d431ec4396ecfbb430801ff2f8122bc83358",
+            ),
         ],
     )
     def test_golden_digest(self, args, digest, capsys):
-        # SHA-256 of stdout as printed when elements were stored densely;
-        # a change of storage or recursion must not move a single byte
+        # SHA-256 of stdout as printed when elements were stored densely (the
+        # first two) and before spreads were added straight into the recursion's
+        # accumulator (the order-cap pair); a change of storage, recursion or
+        # formatting must not move a single byte
         assert main(["table", *args]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

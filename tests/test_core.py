@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from greenring import (
@@ -261,7 +261,32 @@ class TestSerialization:
             from_dict({"p": 3, "nu": 2, "coeffs": {"03": 1, "3": 2}})
 
 
+def reference_format(a):
+    """format_element as it was written term by term, kept as the reference."""
+    parts: list[str] = []
+    for r, c in reversed(a.terms):
+        mag = "" if abs(c) == 1 else str(abs(c))
+        term = f"{mag}V{r}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'} {term}")
+    return " ".join(parts) if parts else "0"
+
+
+CTX31 = RingContext(31, 2)
+
+
 class TestFormatting:
+    @given(st.dictionaries(st.integers(1, CTX31.order), st.integers(-3, 3), max_size=8))
+    @example({})
+    @example({5: 1, 3: -1, 1: 2})
+    @example({961: -1, 10: 3})
+    @example({7: -3})
+    def test_matches_reference(self, terms):
+        e = GreenElement.from_terms(CTX31, terms)
+        assert format_element(e) == reference_format(e)
+
     def test_descending_order(self):
         e = basis_element(CTX, 5) - basis_element(CTX, 3) + 2 * basis_element(CTX, 1)
         assert format_element(e) == "V5 - V3 + 2V1"
