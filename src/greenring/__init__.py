@@ -1,7 +1,7 @@
 """Exact arithmetic in the Green ring of a cyclic p-group.
 
 Provides the integral representation ring on the indecomposable basis
-V_1..V_{p^nu} with multiplication from the generator ladder, Adams
+V_1..V_{p^nu} with multiplication from closed-form basis products, Adams
 operations for exponents coprime to p, exterior and symmetric powers in
 degree < p, and an independent matrix oracle over GF(p) that realizes
 genuine modules and decomposes tensor / exterior / symmetric powers, the

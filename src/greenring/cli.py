@@ -16,6 +16,7 @@ identity, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterator
@@ -40,7 +41,13 @@ class UsageError(Exception):
     """Validation failure that should exit with code 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on the first call and reused after it.
+
+    Parsing keeps no state in the parser, so one parser serves every call
+    of main in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="greenring",
         description="Exact Adams operations and tensor powers in the Green ring of a cyclic p-group.",
@@ -196,6 +203,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one CLI invocation and return its exit code (0, 1 or 2).
+
+    The argparse tree is built once per process, on the first call, and
+    every later call reuses it; output goes to the current sys.stdout and
+    sys.stderr.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

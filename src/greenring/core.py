@@ -7,8 +7,8 @@ conventions V_0 = 0 and V_{-r} = -V_r are normalized away at construction, so
 equality is termwise.  Arithmetic accumulates into one dict per result, so it
 costs time in the support of its operands, not in q.
 
-Multiplication is the bilinear extension of basis products computed from the
-generator ladder (see basis_product); no matrices are involved.
+Multiplication is the bilinear extension of basis products computed in closed
+form (see basis_product); no matrices are involved.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -247,69 +246,98 @@ class GreenElement:
         return f"<{format_element(self)} in {self.ctx!r}>"
 
 
-def _apply_generator(u: dict[int, int], pj: int, top: int) -> dict[int, int]:
-    """X_j * u for X_j = V_{p^j+1} - V_{p^j-1}, u supported on V_1..V_top.
+def _level_zero(p: int, a: int, b: int) -> tuple[range, int]:
+    """The truncated Clebsch-Gordan rule: V_a * V_b for 1 <= a <= b <= p.
 
-    X_j V_s = V_{s+p^j} + V_{s-p^j} with V_0 = 0 and V_{-t} = -V_t, and an
-    index above top = p^(j+1) reflects: V_{top+t} -> 2V_top - V_{top-t}.
+    Returns the indices below p, each of multiplicity 1, and the
+    multiplicity of V_p.
     """
-    out: dict[int, int] = {}
-    for s, c in u.items():
-        hi = s + pj
-        if hi > top:
-            out[top] = out.get(top, 0) + 2 * c
-            hi = 2 * top - hi
-            c_hi = -c
-        else:
-            c_hi = c
-        out[hi] = out.get(hi, 0) + c_hi
-        lo = s - pj
-        if lo > 0:
-            out[lo] = out.get(lo, 0) + c
-        elif lo < 0:
-            out[-lo] = out.get(-lo, 0) - c
-    return out
+    return range(b - a + 1, min(a + b, 2 * p - a - b), 2), max(0, a + b - p)
 
 
-@lru_cache(maxsize=1 << 14)
 def basis_product(p: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """V_a * V_b as ascending (index, multiplicity) pairs, from the generator ladder.
+    """V_a * V_b as ascending (index, multiplicity) pairs, in closed form.
 
-    For a <= b with p^j < b <= p^(j+1), write b = k p^j + r with
-    1 <= r <= p^j.  The second-kind Dickson ladder
-    V_b = F_k(X_j) V_r + F_{k-1}(X_j) V_{p^j - r} gives
+    The product depends on p only, not on nu, and is symmetric; below,
+    a <= b.
 
-        V_a V_b = F_k(X_j)(V_a V_r) + F_{k-1}(X_j)(V_a V_{p^j - r}),
+    Level 0 (b <= p): V_{b-a+1} + V_{b-a+3} + ... + V_{a+b-1} if a + b <= p,
+    otherwise (a+b-p) V_p + V_{b-a+1} + V_{b-a+3} + ... + V_{2p-a-b-1}.
 
-    with both smaller products found the same way, so no matrix is built.
-    Since F_{i+1} = X F_i - F_{i-1}, the values w_i = V_a V_{i p^j + r}
-    satisfy w_1 = X_j w_0 + V_a V_{p^j - r} and w_{i+1} = X_j w_i - w_{i-1}.
-    The product depends on p only, not on nu.  The GF(p) oracle's
-    pair_product computes the same multiplicities independently.
+    Above level 0, let m = p^j < b <= pm and write b = k2 m + r2 and, when
+    a > m, a = k1 m + r1, with 1 <= r1, r2 <= m.
+
+    - Lower level (a <= m): V_a V_{r2} with every index raised by k2 m,
+      plus (a - r2) V_{k2 m} when a > r2.
+    - Same level (a > m): write V_{r1} V_{r2} = Q + n V_m with Q free of
+      V_m.  The product is Q raised by (k2-k1) m; plus, for
+      e = k2-k1+2, k2-k1+4, ... up to min(k1+k2, 2p-k1-k2-2), every term
+      c V_w of Q written as c V_{em+w} + c V_{em-w}; plus the level-0
+      products n V_{k1+1} V_{k2+1} + (r1 - min(r1,r2)) V_{k1+1} V_{k2}
+      + (r2 - min(r1,r2)) V_{k1} V_{k2+1} + max(0, m-r1-r2) V_{k1} V_{k2}
+      with every index multiplied by m; and V_{pm} as often as the
+      dimension a b requires.
+
+    The two rules above level 0 come from the second-kind Dickson ladder
+    V_{km+r} = F_k(X) V_r + F_{k-1}(X) V_{m-r} with X = V_{m+1} - V_{m-1},
+    the rule F_i F_l = sum_t F_{i+l-2t}, and the Heller translate
+    V_r -> V_{m-r} commuting with products up to multiples of V_m (Renaud,
+    J. Algebra 58, 1979).  Terms that would cancel after the reflection at
+    V_{pm} are never written, so a pair costs time linear in its output
+    and nothing is cached.  The GF(p) oracle's pair_product computes the
+    same multiplicities independently.
     """
     if a > b:
-        return basis_product(p, b, a)
+        a, b = b, a
     if a < 1:
         raise IndexRangeError(f"basis index {a} must be >= 1")
-    if a == 1:
-        return ((b, 1),)
-    pj = 1
-    while pj * p < b:
-        pj *= p
-    top = pj * p
-    k = (b - 1) // pj
-    r = b - k * pj
-    prev = dict(basis_product(p, a, r))
-    cur = _apply_generator(prev, pj, top)
-    if r < pj:
-        for t, m in basis_product(p, a, pj - r):
-            cur[t] = cur.get(t, 0) + m
-    for _ in range(k - 1):
-        nxt = _apply_generator(cur, pj, top)
-        for t, m in prev.items():
-            nxt[t] = nxt.get(t, 0) - m
-        prev, cur = cur, nxt
-    return tuple(sorted((t, m) for t, m in cur.items() if m))
+    if b <= p:
+        below, top = _level_zero(p, a, b)
+        return tuple([(t, 1) for t in below] + ([(p, top)] if top else []))
+    m = p
+    while m * p < b:
+        m *= p
+    k2, r2 = divmod(b - 1, m)
+    r2 += 1
+    if a <= m:
+        base = k2 * m
+        head = [(base, a - r2)] if a > r2 else []
+        return tuple(head + [(base + t, c) for t, c in basis_product(p, a, r2)])
+    k1, r1 = divmod(a - 1, m)
+    r1 += 1
+    low = basis_product(p, r1, r2)
+    n = 0
+    if low[-1][0] == m:
+        n = low[-1][1]
+        low = low[:-1]
+    lo, hi = k2 - k1, k1 + k2
+    # `size` tracks the dimension written: raising c V_w by e m adds
+    # c (e m + w), reflecting it down adds c (e m - w)
+    count = sum(c for _, c in low)
+    size = lo * m * count + r1 * r2 - n * m
+    acc = {lo * m + w: c for w, c in low}
+    for e in range(lo + 2, min(hi, 2 * p - hi - 2) + 1, 2):
+        base = e * m
+        size += 2 * base * count
+        for w, c in low:
+            acc[base + w] = c
+            acc[base - w] = c
+    least = min(r1, r2)
+    for coef, i, l in (
+        (n, k1 + 1, k2 + 1),
+        (r1 - least, k1 + 1, k2),
+        (r2 - least, k1, k2 + 1),
+        (max(0, m - r1 - r2), k1, k2),
+    ):
+        if coef:
+            below = _level_zero(p, min(i, l), max(i, l))[0]
+            size += coef * m * sum(below)
+            for t in below:
+                acc[t * m] = acc.get(t * m, 0) + coef
+    top = p * m
+    if size < a * b:
+        acc[top] = (a * b - size) // top
+    return tuple([(t, acc[t]) for t in sorted(acc)])
 
 
 def multiply(x: GreenElement, y: GreenElement) -> GreenElement:
@@ -450,7 +478,9 @@ def format_element(a: GreenElement) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-_TERM_RE = re.compile(r"\s*([+-])?\s*(\d+)?V(\d+)")
+# [0-9], not \d: \d also matches non-ASCII digits (Arabic-Indic ones, say),
+# and int() would read them
+_TERM_RE = re.compile(r"\s*([+-])?\s*([0-9]+)?V([0-9]+)")
 
 
 def parse_element(ctx: RingContext, text: str) -> GreenElement:

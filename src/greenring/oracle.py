@@ -5,9 +5,10 @@ exterior and symmetric powers are built literally as induced matrices; and
 decomposition back into indecomposables reads off the rank profile of the
 displacement N = g - 1, whose second differences give the block
 multiplicities.  The oracle is ground truth only: the library's
-multiplication comes from the generator ladder in core, and the oracle's
-pair_product and decompose check it independently.  GREENRING_ORACLE_CAP
-bounds the induced dimension of these matrix routes and nothing else.
+multiplication comes from the closed-form basis products in core, and the
+oracle's pair_product and decompose check it independently.
+GREENRING_ORACLE_CAP bounds the induced dimension of these matrix routes and
+nothing else.
 
 Each decomposition of a power of a basis module has one route, fixed by its
 input: a square (n = 2) at odd p goes through the chain-ring split of

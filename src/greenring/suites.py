@@ -412,10 +412,10 @@ def run_oracle(ctx: RingContext) -> SuiteReport:
                     bad.append(f"m={m}, k={k}, r={r}")
     rep.record("second-kind ladder reconstruction", total, bad)
 
-    # multiply itself comes from the ladder, so the clauses above are partly
-    # circular; this one checks ladder basis products against the oracle's
-    # pair_product, the chain-ring Smith valuations of the Jordan pair, on a
-    # seeded sample of pairs the oracle cap admits
+    # multiply itself comes from a closed form derived from the ladder, so the
+    # clauses above are partly circular; this one checks basis products against
+    # the oracle's pair_product, the chain-ring Smith valuations of the Jordan
+    # pair, on a seeded sample of pairs the oracle cap admits
     pair_rng = random.Random(6043)
     limit = oracle_cap()
     bad = []

@@ -15,7 +15,7 @@ from greenring import (
     multiply,
     parse_element,
 )
-from greenring.cli import main
+from greenring.cli import _build_parser, main
 
 WORKED_23 = (
     "V49 - V47 + V45 - V39 + V37 - V35 + V33 - V31 + V25"
@@ -231,6 +231,61 @@ class TestVerifyAllContexts:
     def test_verify_all_exits_zero(self, p, nu, capsys):
         assert main(["verify", "--p", str(p), "--nu", str(nu), "--suite", "all"]) == 0
         assert capsys.readouterr().out.strip().endswith("RESULT: PASS")
+
+
+class TestParserReuse:
+    # main builds its parser once per process and reuses it; whatever the
+    # earlier calls did, a call must print the bytes and return the exit code
+    # that a freshly built parser gives
+    INVOCATIONS = [
+        (0, ["psi", "--p", "7", "--nu", "2", "--n", "4", "--s", "23"]),
+        (0, ["mul", "--p", "3", "--nu", "2", "--a", "V5-V3", "--b", "2V2", "--format", "json"]),
+        (0, ["lambda", "--p", "5", "--nu", "2", "--n", "2", "--s", "3"]),
+        (0, ["sym", "--p", "5", "--nu", "2", "--n", "2", "--element", "V3+V1"]),
+        (0, ["table", "--p", "3", "--nu", "2", "--n", "2", "--format", "json"]),
+        (0, ["verify", "--p", "3", "--nu", "2", "--suite", "shape"]),
+        (0, ["--help"]),
+        (0, ["psi", "--help"]),
+        # argparse errors
+        (2, []),
+        (2, ["psi", "--p", "7", "--nu", "2", "--s", "23"]),
+        (2, ["psi", "--p", "7", "--nu", "2", "--n", "4", "--s", "3", "--element", "V3"]),
+        (2, ["mul", "--p", "3", "--nu", "2", "--a", "V2", "--b", "V2", "--format", "xml"]),
+        (2, ["table", "--p", "3", "--nu", "1", "--n", "2", "--format", "text"]),
+        (2, ["psi", "--p", "7", "--nu", "2", "--n", "four", "--s", "3"]),
+        # validation errors
+        (2, ["psi", "--p", "5", "--nu", "1", "--n", "5", "--s", "2"]),
+        (2, ["psi", "--p", "6", "--nu", "1", "--n", "1", "--s", "2"]),
+        (2, ["psi", "--p", "3", "--nu", "1", "--n", "2", "--s", "4"]),
+        (2, ["lambda", "--p", "5", "--nu", "2", "--n", "5", "--s", "3"]),
+        (2, ["mul", "--p", "3", "--nu", "2", "--a", "V\u0661", "--b", "V1"]),
+        (2, ["verify", "--p", "2", "--nu", "2", "--suite", "gow-laffey"]),
+    ]
+
+    def run_all(self, capsys, fresh):
+        results = []
+        for _, argv in self.INVOCATIONS:
+            if fresh:
+                _build_parser.cache_clear()
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        return results
+
+    def test_reused_parser_matches_fresh_one(self, capsys):
+        fresh = self.run_all(capsys, fresh=True)
+        _build_parser.cache_clear()
+        first = self.run_all(capsys, fresh=False)
+        second = self.run_all(capsys, fresh=False)
+        assert _build_parser.cache_info().misses == 1
+        assert first == fresh
+        assert second == fresh
+        assert [code for code, _, _ in fresh] == [code for code, _ in self.INVOCATIONS]
+        for (code, argv), (_, out, err) in zip(self.INVOCATIONS, fresh):
+            if code == 0:
+                assert out and not err, argv
+            else:
+                assert err and not out, argv
 
 
 class TestDeterminism:

@@ -313,6 +313,12 @@ class TestFormatting:
             with pytest.raises(ParseError):
                 parse_element(CTX, bad)
 
+    @pytest.mark.parametrize("bad", ["V\u0661", "\u0662V1", "V1+V\u0663", "V\uff15", "V1\u0660"])
+    def test_parse_rejects_non_ascii_digits(self, bad):
+        # int() reads Arabic-Indic and fullwidth digits; the grammar is ASCII
+        with pytest.raises(ParseError):
+            parse_element(CTX, bad)
+
     def test_parse_rejects_out_of_range(self):
         with pytest.raises(IndexRangeError):
             parse_element(CTX, "V10")

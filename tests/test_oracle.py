@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -36,9 +37,57 @@ from greenring import (
 from greenring import gfp, oracle
 from greenring.core import basis_product
 
+SEED_PAIRS = 20090912
 CTX3 = RingContext(3, 2)
 CTX5 = RingContext(5, 2)
 CTX2 = RingContext(2, 2)
+
+
+def _ladder_step(u, pj, top, out):
+    """Add X_j * u into out, for X_j = V_{p^j+1} - V_{p^j-1} and dense vectors
+    over V_0..V_top.
+
+    X_j V_s = V_{s+p^j} + V_{s-p^j} with V_0 = 0 and V_{-t} = -V_t, and an
+    index above top = p^(j+1) reflects: V_{top+t} -> 2V_top - V_{top-t}.
+    """
+    out[1 + pj:] += u[1:top + 1 - pj]
+    out[top] += 2 * u[top + 1 - pj:].sum()
+    out[top - pj:top] -= u[top:top - pj:-1]
+    out[1:top + 1 - pj] += u[1 + pj:]
+    out[1:pj] -= u[pj - 1:0:-1]
+    return out
+
+
+@functools.cache
+def ladder_product(p, a, b):
+    """V_a * V_b from the second-kind Dickson ladder, the reference for basis_product.
+
+    This is the route core.basis_product took before its closed form, with
+    each generator step on a dense numpy vector so that the (1021,1) sample
+    stays within seconds: for a <= b with p^j < b <= p^(j+1) and
+    b = k p^j + r, 1 <= r <= p^j, the values w_i = V_a V_{i p^j + r} satisfy
+    w_1 = X_j w_0 + V_a V_{p^j - r} and w_{i+1} = X_j w_i - w_{i-1}.
+    """
+    if a > b:
+        return ladder_product(p, b, a)
+    if a == 1:
+        return ((b, 1),)
+    pj = 1
+    while pj * p < b:
+        pj *= p
+    top = pj * p
+    k = (b - 1) // pj
+    r = b - k * pj
+    prev = np.zeros(top + 1, dtype=np.int64)
+    for t, m in ladder_product(p, a, r):
+        prev[t] = m
+    cur = _ladder_step(prev, pj, top, np.zeros_like(prev))
+    if r < pj:
+        for t, m in ladder_product(p, a, pj - r):
+            cur[t] += m
+    for _ in range(k - 1):
+        prev, cur = cur, _ladder_step(cur, pj, top, -prev)
+    return tuple((int(t), int(cur[t])) for t in np.flatnonzero(cur))
 
 
 def small_elements(ctx):
@@ -393,10 +442,38 @@ class TestMultiply:
         monkeypatch.delenv("GREENRING_ORACLE_CAP")
         assert got == pair_product(CTX3, 4, 4).to_element()
 
+    @pytest.mark.parametrize(
+        "p,nu,sample",
+        [(2, 5, None), (3, 3, None), (5, 2, None), (7, 2, None), (2, 6, None),
+         (31, 2, 300), (2, 10, 300), (1021, 1, 300)],
+    )
+    def test_closed_form_matches_ladder(self, p, nu, sample):
+        # every pair at small contexts and a seeded sample near the order cap,
+        # in both argument orders, against the generator ladder kept above
+        q = p**nu
+        if sample is None:
+            pairs = list(itertools.combinations_with_replacement(range(1, q + 1), 2))
+        else:
+            rng = random.Random(SEED_PAIRS + q)
+            pairs = [(rng.randint(1, q), rng.randint(1, q)) for _ in range(sample)]
+        bad = [
+            (a, b)
+            for a, b in pairs
+            if not basis_product(p, a, b) == basis_product(p, b, a) == ladder_product(p, a, b)
+        ]
+        assert bad == []
+
+    def test_basis_product_rejects_index_zero(self):
+        with pytest.raises(IndexRangeError):
+            basis_product(3, 0, 4)
+        with pytest.raises(IndexRangeError):
+            basis_product(3, 4, 0)
+
     @pytest.mark.parametrize("p,nu,sample", [(2, 4, None), (3, 3, None), (5, 2, None), (7, 2, 40)])
     def test_ladder_matches_pair_product(self, p, nu, sample):
-        # multiply comes from the ladder; the oracle is the independent check:
-        # every pair at small contexts, a seeded sample at (7,2)
+        # multiply comes from the closed form in basis_product; the oracle is
+        # the independent check: every pair at small contexts, a seeded sample
+        # at (7,2)
         ctx = RingContext(p, nu)
         pairs = list(itertools.combinations_with_replacement(range(1, ctx.order + 1), 2))
         if sample is not None:

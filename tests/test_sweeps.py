@@ -50,12 +50,13 @@ def test_whole_table_shape_and_dimension(p, nu):
     assert not bad, (n, bad[:5])
 
 
-# A cold basis product at (31,2) costs up to a few ms and a uniform pair of
-# Adams values there has supports of ~80 terms each, so the right-hand side
-# of one check can need ~6,000 products.  Pairs needing more than this many
-# are redrawn; about one uniform pair in eight qualifies at (31,2), and every
-# pair at (2,10), where each admissible exponent folds to 1.
-MAX_BASIS_PAIRS = 400
+# A basis product at (31,2) costs tens of microseconds, but the right-hand
+# side of one check multiplies two Adams values term by term, up to ~70,000
+# basis products for the widest pairs.  Pairs needing more than this many are
+# redrawn, which keeps the sweep near 2 s; about five uniform pairs in six
+# qualify at (31,2), and every pair at (2,10), where each admissible exponent
+# folds to 1.
+MAX_BASIS_PAIRS = 12_000
 
 
 @pytest.mark.parametrize("p, nu", [(31, 2), (2, 10)])
