@@ -76,10 +76,13 @@ class RingContext:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.nu < 1:
             raise ValueError(f"nu must be >= 1, got {self.nu}")
-        order = self.p**self.nu
+        # multiply up to the cap only: p**nu for a huge nu has millions of digits
         cap = order_cap()
-        if order > cap:
-            raise ValueError(f"group order {order} exceeds cap {cap}")
+        order = 1
+        for _ in range(self.nu):
+            order *= self.p
+            if order > cap:
+                raise ValueError(f"group order {self.p}^{self.nu} exceeds cap {cap}")
         object.__setattr__(self, "order", order)
 
     def level(self, s: int) -> int:

@@ -156,23 +156,19 @@ def _series_inverse(u: np.ndarray, p: int) -> np.ndarray:
     return inv
 
 
-def smith_chain_valuations(
-    P: np.ndarray, p: int, b: int, aug: np.ndarray | None = None
-) -> list[int]:
+def smith_chain_valuations(P: np.ndarray, p: int, b: int) -> list[int]:
     """Diagonal y-valuations of a square matrix over F_p[y]/(y^b).
 
     P has shape (m, m, b), last axis holding polynomial coefficients; it is
     destroyed.  Pivoting always selects a minimal-valuation entry, so every
-    division performed is exact.  Row operations are mirrored onto `aug`
-    (shape (m, w, b)) when given, which afterwards allows membership tests
-    of w vectors against the image of the original matrix.  Zero diagonal
-    entries are reported with valuation b.
+    division performed is exact.  Zero diagonal entries are reported with
+    valuation b.  jordan_pair_rank_profile is the one caller: the GF(p)-rank
+    of the matrix is the sum of b - e over the valuations e.
 
     The minimal valuation is non-decreasing along the elimination, so the
     remaining submatrix is kept divided by y^base (base = sum of valuations
     consumed so far): its polynomials live mod y^(b-base), which shrinks the
-    work per step.  Quotients are valuation-free, so mirroring them onto
-    `aug` is unaffected by the shift.
+    work per step.
     """
     m = P.shape[0]
     vals = [b] * m
@@ -190,8 +186,6 @@ def smith_chain_valuations(
         i0, j0 = t + int(pos[0]), t + int(pos[1])
         if i0 != t:
             P[[t, i0], :, :] = P[[i0, t], :, :]
-            if aug is not None:
-                aug[[t, i0]] = aug[[i0, t]]
         if j0 != t:
             P[:, [t, j0], :] = P[:, [j0, t], :]
         vals[t] = base + e
@@ -215,12 +209,6 @@ def smith_chain_valuations(
                     s = int(s)
                     block[:, :, s:] -= qg[:, s][:, None, None] * row[None, :, : blen - s]
                 P[t + 1 + rows_nz, t:, :blen] = block % p
-                if aug is not None:
-                    zrow = aug[t].copy()
-                    for s in s_idx:
-                        s = int(s)
-                        aug[t + 1 :, :, s:] -= q[:, s][:, None, None] * zrow[None, :, : b - s]
-                    aug[t + 1 :] %= p
         P[t, t + 1 :, :] = 0
         if e and t + 1 < m:
             # divide the remaining submatrix by y^e; its valuations are >= e
@@ -266,7 +254,7 @@ def jordan_pair_rank_profile(a: int, b: int, p: int, max_k: int) -> list[int]:
     per power through valuations over the chain ring F_p[y]/(y^b): the
     displacement power acts F_p[y]/(y^b)-linearly on the free module of rank
     a, its Smith valuations e_t are exact, and the GF(p)-rank is
-    sum_t (b - e_t).
+    sum_t (b - e_t).  The Smith matrix is a x a, so the cost grows with a.
     """
     d = a * b
     ranks = [d]
@@ -282,87 +270,3 @@ def jordan_pair_rank_profile(a: int, b: int, p: int, max_k: int) -> list[int]:
     # N^(a+b-1) = 0, so a profile that stops early stops at rank 0
     ranks += [0] * (max_k + 1 - len(ranks))
     return ranks
-
-
-def _diagonal_sum_vectors(r: int, p: int) -> np.ndarray:
-    """Membership vectors spanning the annihilator of (x - y) in the square model.
-
-    The annihilator of x - y in F_p[x, y]/(x^r, y^r) is spanned by the full
-    homogeneous sums h_c (c = r-1 .. 2r-2), and the displacement acts on them
-    by h_c -> 2 h_{c+1} + h_{c+2}; this returns, for j = 0..r-1, the j-th
-    displacement power applied to h_{r-1}, laid out as vectors over
-    F_p[y]/(y^r): shape (r, r, r) indexed (component i, j, y-power).
-    """
-    alphas = np.zeros((r, r), dtype=np.int64)
-    alphas[0, 0] = 1
-    for j in range(1, r):
-        prev = alphas[j - 1]
-        cur = np.zeros(r, dtype=np.int64)
-        cur[1:] += 2 * prev[:-1]
-        cur[2:] += prev[:-2]
-        alphas[j] = cur % p
-    z = np.zeros((r, r, r), dtype=np.int64)
-    for o in range(r):
-        col = alphas[:, o]
-        if not col.any():
-            continue
-        for i in range(o, r):
-            z[i, :, r - 1 + o - i] = (z[i, :, r - 1 + o - i] + col) % p
-    return z
-
-
-def square_pair_split_profiles(
-    r: int, p: int, max_k: int
-) -> tuple[list[int], list[int]]:
-    """Rank profiles of the alternating and symmetric halves of J_r tensor J_r.
-
-    Requires p odd.  The swap involution splits the square tensor into its
-    symmetric and alternating summands; the quotient of the tensor by the
-    annihilator of (x - y) (a single size-r block spanned by symmetric
-    vectors) is isomorphic to two copies of the alternating half.  Hence
-    per power k:  alt_rank = (tensor_rank - w_k) / 2  with w_k the dimension
-    of the intersection of the image with that annihilator, and the
-    symmetric half takes the remainder.
-    """
-    if p == 2:
-        raise ValueError("split profiles require odd p")
-    d = r * r
-    ranks = [d]
-    ws = [r]
-    kmax = min(2 * r - 1, max_k)
-    zvecs = _diagonal_sum_vectors(r, p)
-    for k in range(1, kmax + 1):
-        h = _shift_convolve_polys(k, r, r, p)
-        P = _toeplitz_from_rows(h, r, r)
-        aug = zvecs.copy()
-        vals = smith_chain_valuations(P, p, r, aug=aug)
-        rank_k = sum(r - v for v in vals)
-        j_k = r
-        for j in range(r):
-            ok = True
-            for t in range(r):
-                poly = aug[t, j]
-                nz = np.flatnonzero(poly)
-                if nz.size and int(nz[0]) < vals[t]:
-                    ok = False
-                    break
-            if ok:
-                j_k = j
-                break
-        ranks.append(rank_k)
-        ws.append(r - j_k)
-        if rank_k == 0:
-            break
-    # N^(2r-1) = 0, so a profile that stops early stops at rank 0 (and w 0)
-    pad = max_k + 1 - len(ranks)
-    ranks += [0] * pad
-    ws += [0] * pad
-    alt = []
-    sym = []
-    for rank_k, w_k in zip(ranks, ws):
-        half, rem = divmod(rank_k - w_k, 2)
-        if rem:
-            raise AssertionError("split profile parity violated")
-        alt.append(half)
-        sym.append(rank_k - half)
-    return alt, sym

@@ -10,10 +10,10 @@ oracle's pair_product and decompose check it independently.
 GREENRING_ORACLE_CAP bounds the induced dimension of these matrix routes and
 nothing else.
 
-Each decomposition of a power of a basis module has one route, fixed by its
-input: a square (n = 2) at odd p goes through the chain-ring split of
-J_r tensor J_r, which yields both halves at once, and every other power
-builds its induced matrix and decomposes it.
+Each job has one route.  A decomposition of an exterior or symmetric power
+of a basis module builds the induced matrix and decomposes it, for every
+degree and prime; a basis product V_a tensor V_b (pair_product) reads its
+rank profile from Smith valuations over the chain ring F_p[y]/(y^b).
 """
 
 from __future__ import annotations
@@ -250,12 +250,14 @@ def pair_product(ctx: RingContext, a: int, b: int) -> DecompositionReport:
     Same rank-profile semantics as decompose(tensor(realize(a), realize(b))),
     computed power-by-power through chain-ring valuations so large blocks
     stay cheap; the two routes are interchangeable and tested against each
-    other.
+    other.  V_a tensor V_b is V_b tensor V_a, so the smaller block sizes the
+    Smith matrix.
     """
     for r in (a, b):
         if not 1 <= r <= ctx.order:
             raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
     _check_capacity(a * b)
+    a, b = min(a, b), max(a, b)
     profile = gfp.jordan_pair_rank_profile(a, b, ctx.p, ctx.order)
     return _profile_to_report(ctx, profile, a * b)
 
@@ -283,24 +285,17 @@ def _power_decomposition(
     hit = _POWER_CACHE.get(key)
     if hit is not None:
         return hit
-    if n == 2 and ctx.p != 2:
-        alt, symm = gfp.square_pair_split_profiles(r, ctx.p, ctx.order)
-        wedge_report = _profile_to_report(ctx, alt, math.comb(r, 2))
-        sym_report = _profile_to_report(ctx, symm, math.comb(r + 1, 2))
-        _POWER_CACHE.setdefault((ctx.p, ctx.nu, "wedge", n, r), wedge_report)
-        _POWER_CACHE.setdefault((ctx.p, ctx.nu, "sym", n, r), sym_report)
-        return wedge_report if kind == "wedge" else sym_report
     build = wedge if kind == "wedge" else sym
     report = decompose(ctx, build(ctx, n, realize(ctx, r)))
-    _POWER_CACHE.setdefault(key, report)
+    _POWER_CACHE[key] = report
     return report
 
 
 def wedge_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport:
     """Decomposition of the n-th exterior power of the basis module V_r.
 
-    One route: the chain-ring split for a square at odd p, else the literal
-    wedge matrix.
+    Decomposes the literal wedge matrix of V_r, whatever n and p; a degree
+    above r gives the zero module.
     """
     return _power_decomposition(ctx, "wedge", n, r)
 
@@ -308,7 +303,6 @@ def wedge_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport
 def sym_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport:
     """Decomposition of the n-th symmetric power of the basis module V_r.
 
-    One route: the chain-ring split for a square at odd p, else the literal
-    sym matrix.
+    Decomposes the literal sym matrix of V_r, whatever n and p.
     """
     return _power_decomposition(ctx, "sym", n, r)

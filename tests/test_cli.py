@@ -47,6 +47,12 @@ class TestPsiCommand:
     def test_bad_prime_exits_two(self):
         assert main(["psi", "--p", "6", "--nu", "1", "--n", "1", "--s", "2"]) == 2
 
+    def test_huge_nu_exits_two(self, capsys):
+        assert main(["psi", "--p", "3", "--nu", "9000", "--n", "2", "--s", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert "exceeds cap" in err and len(err) < 100
+
     def test_s_out_of_range_exits_two(self):
         assert main(["psi", "--p", "3", "--nu", "1", "--n", "2", "--s", "4"]) == 2
 

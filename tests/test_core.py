@@ -64,6 +64,12 @@ class TestRingContext:
         with pytest.raises(ValueError):
             RingContext(2, 11)  # 2048 > 1024
 
+    def test_huge_nu_rejected_by_cap(self):
+        # the order is never formed: 3**(10**7) would take seconds and print
+        # as 4.7 million digits
+        with pytest.raises(ValueError, match=r"^group order 3\^10000000 exceeds cap 1024$"):
+            RingContext(3, 10**7)
+
     def test_level(self):
         ctx = RingContext(3, 3)
         assert [ctx.level(s) for s in (1, 2, 3, 4, 9, 10, 27)] == [0, 1, 1, 2, 2, 3, 3]

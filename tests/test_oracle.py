@@ -268,35 +268,37 @@ class TestInducedPowers:
         assert set(rep.rank_profile) == {0}
 
     def test_split_route_agrees_across_contexts(self, ctx33, ctx72, monkeypatch):
-        # a square at odd p always takes the chain-ring split, never a matrix;
-        # the literal wedge/sym matrices are the independent check
+        # at odd p the swap splits V_r tensor V_r into its exterior and
+        # symmetric squares; pair_product reads the tensor from chain-ring Smith
+        # valuations, independent of the wedge/sym matrices
         monkeypatch.setattr(oracle, "_POWER_CACHE", {})
-        monkeypatch.setattr(oracle, "decompose", _route_not_taken)
         cases = [(ctx33, (14, 20, 27)), (ctx72, (16, 22)), (CTX5, (17, 25))]
         cases += [(ctx, range(2, 14)) for ctx in (ctx33, CTX5, ctx72)]
         for ctx, rs in cases:
             for r in rs:
-                for power, build in ((wedge_decomposition, wedge), (sym_decomposition, sym)):
-                    split = power(ctx, 2, r)
-                    literal = decompose(ctx, build(ctx, 2, realize(ctx, r)))
-                    assert split.multiplicities == literal.multiplicities, (ctx.p, r)
-                    assert split.rank_profile == literal.rank_profile, (ctx.p, r)
+                halves = (wedge_decomposition(ctx, 2, r).to_element()
+                          + sym_decomposition(ctx, 2, r).to_element())
+                assert halves == pair_product(ctx, r, r).to_element(), (ctx.p, r)
 
     def test_cap_applies_to_requested_half(self, monkeypatch):
-        # the split caches both halves; the cached sibling still obeys the cap
+        # each half is checked against the cap at its own dimension:
+        # wedge^2(V6) is 15-dimensional, sym^2(V6) 21-dimensional
         monkeypatch.setattr(oracle, "_POWER_CACHE", {})
         monkeypatch.setenv("GREENRING_ORACLE_CAP", "15")
         assert dim(wedge_decomposition(CTX5, 2, 6).to_element()) == 15
         with pytest.raises(OracleCapacityError):
             sym_decomposition(CTX5, 2, 6)
 
-    def test_p2_square_takes_matrix_route(self, ctx24, monkeypatch):
+    def test_square_takes_matrix_route(self, ctx24, monkeypatch):
+        # every square, at p = 2 and at odd p, decomposes its induced matrix;
+        # no power decomposition reaches the chain-ring Smith valuations
         monkeypatch.setattr(oracle, "_POWER_CACHE", {})
-        monkeypatch.setattr(gfp, "square_pair_split_profiles", _route_not_taken)
-        for r in (2, 5, 9, 16):
-            for power, build in ((wedge_decomposition, wedge), (sym_decomposition, sym)):
-                literal = decompose(ctx24, build(ctx24, 2, realize(ctx24, r)))
-                assert power(ctx24, 2, r) == literal, r
+        monkeypatch.setattr(gfp, "smith_chain_valuations", _route_not_taken)
+        for ctx in (ctx24, CTX5):
+            for r in (2, 5, 9, 16):
+                for power, build in ((wedge_decomposition, wedge), (sym_decomposition, sym)):
+                    literal = decompose(ctx, build(ctx, 2, realize(ctx, r)))
+                    assert power(ctx, 2, r) == literal, (ctx.p, r)
 
 
 def _route_not_taken(*args):
@@ -325,6 +327,15 @@ class TestPairFastPath:
             fast = pair_product(ctx72, a, b)
             assert lit.multiplicities == fast.multiplicities
             assert lit.rank_profile == fast.rank_profile
+
+    def test_argument_order_is_irrelevant(self, ctx72):
+        # V_a tensor V_b = V_b tensor V_a: both orders give one report, and
+        # it matches the literal tensor in the order given
+        pairs = [(CTX3, b, a) for a, b in itertools.combinations(range(1, 10), 2)]
+        pairs += [(ctx72, a, b) for a, b in [(12, 7), (21, 14), (49, 3), (30, 2)]]
+        for ctx, a, b in pairs:
+            lit = decompose(ctx, tensor(ctx, realize(ctx, a), realize(ctx, b)))
+            assert pair_product(ctx, a, b) == pair_product(ctx, b, a) == lit, (a, b)
 
     def test_literal_tensor_at_scale(self, ctx72):
         # d = 676 and d = 900: the largest literal matrices any test decomposes
