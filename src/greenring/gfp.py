@@ -13,7 +13,9 @@ Gauss-Jordan elimination of [N; I] gives the image of N, a preimage map and
 ker N, and each later level eliminates only the residues against im N of at
 most 2(d - r) kernel vectors, r being the rank of N.  Elimination updates
 only the rows a pivot column touches, so the sparse displacements of induced
-Jordan actions stay cheap throughout.
+Jordan actions stay cheap throughout.  A tensor of two Jordan blocks needs no
+matrix of its own: its block sizes are the Smith valuations of one small
+matrix over a truncated polynomial ring (jordan_pair_rank_profile).
 """
 
 from __future__ import annotations
@@ -162,8 +164,8 @@ def smith_chain_valuations(P: np.ndarray, p: int, b: int) -> list[int]:
     P has shape (m, m, b), last axis holding polynomial coefficients; it is
     destroyed.  Pivoting always selects a minimal-valuation entry, so every
     division performed is exact.  Zero diagonal entries are reported with
-    valuation b.  jordan_pair_rank_profile is the one caller: the GF(p)-rank
-    of the matrix is the sum of b - e over the valuations e.
+    valuation b.  jordan_pair_rank_profile is the one caller: its valuations
+    are the Jordan block sizes of a tensor of two Jordan blocks.
 
     The minimal valuation is non-decreasing along the elimination, so the
     remaining submatrix is kept divided by y^base (base = sum of valuations
@@ -218,55 +220,23 @@ def smith_chain_valuations(P: np.ndarray, p: int, b: int) -> list[int]:
     return vals
 
 
-def _shift_convolve_polys(k: int, a: int, b: int, p: int) -> np.ndarray:
-    """Row polynomials h_i of the k-th power of the tensor displacement.
-
-    In the model where the two Jordan blocks act as multiplication by (1+x)
-    and (1+y) on F_p[x, y]/(x^a, y^b), the displacement (product of the two
-    generators minus one) raised to the k-th power expands as
-    sum_i C(k, i) x^i (1+y)^i y^(k-i); h_i collects the y-polynomial factor
-    of x^i, truncated mod y^b.
-    """
-    h = np.zeros((a, b), dtype=np.int64)
-    for i in range(min(k, a - 1) + 1):
-        cki = math.comb(k, i) % p
-        low = k - i
-        if cki == 0 or low >= b:
-            continue
-        for t in range(min(i, b - 1 - low) + 1):
-            h[i, low + t] = (cki * math.comb(i, t)) % p
-    return h
-
-
-def _toeplitz_from_rows(h: np.ndarray, a: int, b: int) -> np.ndarray:
-    P = np.zeros((a, a, b), dtype=np.int64)
-    for delta in range(a):
-        if h[delta].any():
-            idx = np.arange(a - delta)
-            P[idx + delta, idx] = h[delta]
-    return P
-
-
 def jordan_pair_rank_profile(a: int, b: int, p: int, max_k: int) -> list[int]:
     """Rank profile of the displacement of a tensor of Jordan blocks J_a, J_b.
 
-    Equivalent to rank_profile on the Kronecker product matrix, but computed
-    per power through valuations over the chain ring F_p[y]/(y^b): the
-    displacement power acts F_p[y]/(y^b)-linearly on the free module of rank
-    a, its Smith valuations e_t are exact, and the GF(p)-rank is
-    sum_t (b - e_t).  The Smith matrix is a x a, so the cost grows with a.
+    Equivalent to rank_profile on the Kronecker product matrix, but read off
+    one Smith form.  With x, y the displacements of J_a, J_b and Y = y(1+x),
+    the tensor is F_p[x, Y]/(x^a, Y^b) and its displacement is Z = x + Y.
+    Over F_p[Z] that module is free on 1, x, ..., x^(a-1) modulo (Z - x)^b,
+    so its Jordan block sizes are the Smith valuations e_i of the a x a
+    matrix (Z I - C)^b, C the nilpotent shift, whose entry (i, i+t) is
+    (-1)^t C(b, t) Z^(b-t).  No block reaches a + b, since N^(a+b-1) = 0, so
+    the valuations over F_p[Z]/(Z^(a+b)) are exact, and
+    rank N^k = sum_i max(0, e_i - k).  The cost grows with a.
     """
-    d = a * b
-    ranks = [d]
-    kmax = min(a + b - 1, max_k)
-    for k in range(1, kmax + 1):
-        h = _shift_convolve_polys(k, a, b, p)
-        P = _toeplitz_from_rows(h, a, b)
-        vals = smith_chain_valuations(P, p, b)
-        r = sum(b - v for v in vals)
-        ranks.append(r)
-        if r == 0:
-            break
-    # N^(a+b-1) = 0, so a profile that stops early stops at rank 0
-    ranks += [0] * (max_k + 1 - len(ranks))
-    return ranks
+    n = a + b
+    P = np.zeros((a, a, n), dtype=np.int64)
+    idx = np.arange(a)
+    for t in range(min(a - 1, b) + 1):
+        P[idx[: a - t], idx[t:], b - t] = (-1) ** t * math.comb(b, t) % p
+    sizes = smith_chain_valuations(P, p, n)
+    return [sum(e - k for e in sizes if e > k) for k in range(max_k + 1)]

@@ -13,7 +13,8 @@ nothing else.
 Each job has one route.  A decomposition of an exterior or symmetric power
 of a basis module builds the induced matrix and decomposes it, for every
 degree and prime; a basis product V_a tensor V_b (pair_product) reads its
-rank profile from Smith valuations over the chain ring F_p[y]/(y^b).
+block sizes from one Smith form, the valuations of (Z I - C)^b over F_p[Z]
+with C the a x a nilpotent shift.
 """
 
 from __future__ import annotations
@@ -248,10 +249,11 @@ def pair_product(ctx: RingContext, a: int, b: int) -> DecompositionReport:
     """Decomposition of the tensor of the Jordan blocks of sizes a and b.
 
     Same rank-profile semantics as decompose(tensor(realize(a), realize(b))),
-    computed power-by-power through chain-ring valuations so large blocks
-    stay cheap; the two routes are interchangeable and tested against each
-    other.  V_a tensor V_b is V_b tensor V_a, so the smaller block sizes the
-    Smith matrix.
+    but the block sizes come from the Smith valuations of one a x a matrix
+    over F_p[Z] (gfp.jordan_pair_rank_profile), so large blocks stay cheap;
+    the two routes are interchangeable and tested against each other.
+    V_a tensor V_b is V_b tensor V_a, so the smaller block sizes the Smith
+    matrix.
     """
     for r in (a, b):
         if not 1 <= r <= ctx.order:

@@ -480,7 +480,7 @@ class TestMultiply:
         with pytest.raises(IndexRangeError):
             basis_product(3, 4, 0)
 
-    @pytest.mark.parametrize("p,nu,sample", [(2, 4, None), (3, 3, None), (5, 2, None), (7, 2, 40)])
+    @pytest.mark.parametrize("p,nu,sample", [(2, 4, None), (3, 3, None), (5, 2, None), (7, 2, 300)])
     def test_ladder_matches_pair_product(self, p, nu, sample):
         # multiply comes from the closed form in basis_product; the oracle is
         # the independent check: every pair at small contexts, a seeded sample
@@ -492,6 +492,28 @@ class TestMultiply:
         bad = [
             (a, b)
             for a, b in pairs
+            if basis_product(p, a, b) != pair_product(ctx, a, b).multiplicities
+        ]
+        assert bad == []
+
+    @pytest.mark.parametrize(
+        "p,nu,fixed",
+        [(31, 2, [(7, 902), (24, 566)]), (2, 10, []), (1021, 1, [])],
+        ids=["31-2", "2-10", "1021-1"],
+    )
+    def test_pair_product_near_order_cap(self, p, nu, fixed):
+        # seeded pairs drawn the way run_oracle draws them, in both argument
+        # orders; the dimension bound of 3000 keeps the smaller size, which
+        # sizes the Smith matrix, at most 54
+        ctx = RingContext(p, nu)
+        rng = random.Random(SEED_PAIRS + ctx.order)
+        pairs = list(fixed)
+        for _ in range(24):
+            a = rng.randint(1, min(ctx.order, 3000))
+            pairs.append((a, rng.randint(1, min(ctx.order, 3000 // a))))
+        bad = [
+            (a, b)
+            for a, b in pairs + [(b, a) for a, b in pairs]
             if basis_product(p, a, b) != pair_product(ctx, a, b).multiplicities
         ]
         assert bad == []
