@@ -8,14 +8,14 @@ prime and dimension the ring contexts and the oracle cap admit.  Other
 values are reduced exactly where a zero test or an inverse needs them.
 
 The oracle decomposes a unipotent matrix from the rank profile of its
-displacement N, read off the kernel chain ker N, ker N^2, ...: one
-Gauss-Jordan elimination of [N; I] gives the image of N, a preimage map and
-ker N, and each later level eliminates only the residues against im N of at
-most 2(d - r) kernel vectors, r being the rank of N.  Elimination updates
-only the rows a pivot column touches, so the sparse displacements of induced
-Jordan actions stay cheap throughout.  A tensor of two Jordan blocks needs no
-matrix of its own: its block sizes are the Smith valuations of one small
-matrix over a truncated polynomial ring (jordan_pair_rank_profile).
+displacement N, read off one Krylov elimination: unit vectors on the free
+rows of N's column basis span a complement W of im N, and one elimination
+of the layers N^j W, deepest first, counts every rank(N^k).  Elimination
+updates only the rows a pivot column touches, and a layer is a product over
+N's nonzeros, so the sparse displacements of induced Jordan actions stay
+cheap throughout.  A tensor of two Jordan blocks needs no matrix of its
+own: its block sizes are the Smith valuations of one small matrix over a
+truncated polynomial ring (jordan_pair_rank_profile).
 """
 
 from __future__ import annotations
@@ -86,64 +86,59 @@ def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     """[rank(N^0), rank(N^1), ..., rank(N^max_k)] for a square matrix N.
 
-    Read off the kernel chain: rank(N^k) = d - dim ker N^k, and
-    ker N^(k+1) = ker N + N^-1(ker N^k cap im N).  One column_basis of the
-    2d x d matrix [N; I] gives everything the chain needs.  Its pivots in
-    the top half are N's pivots piv, and the top of those columns is the
-    reduced image basis e (e[piv] = I); their bottom is a preimage map T,
-    N T = e.  The other columns have a zero top, and their bottom is a
-    basis of ker N.  A vector v lies in im N exactly when its residue
-    v[free] - e[free] v[piv] vanishes, free being the rows off piv.
+    Read off one Krylov elimination.  The unit vectors W on the free
+    (non-pivot) rows of column_basis(N) span a complement of im N: a
+    combination of them has zero pivot entries, so it lies in im N only if
+    it is zero.  Hence V = W + N V, and for nilpotent N unrolling gives
+    im N^k = span{N^j w : j >= k}.  The layers N^j W, zero rows dropped, are
+    stacked deepest first and eliminated once; a pivot is a row independent
+    of the rows above it, so the pivots in the layers j >= k count rank(N^k)
+    exactly.
 
-    Each level eliminates [residues; I] over the vectors new to ker N^k and
-    the at most d - r earlier ones kept because their residues are
-    independent.  The columns with a pivot in the residues are kept; the
-    others are null combinations y, which span the new part of
-    ker N^k cap im N, and T y[piv] are the vectors new to ker N^(k+1).  The
-    chain stops when a level adds nothing or max_k is reached, so the ranks
-    of a non-nilpotent N level off at the dimension of its invertible part.
+    In general V = U + K, with U = im N^d (N is invertible on it) and
+    K = ker N^d; W projects along U onto a complement of N K in K, so
+    im N^k = U + span{N^j w : j >= k}.  If N^d W = 0, the layers span K and
+    U adds d minus all pivots to each rank; otherwise N is not nilpotent,
+    and a basis of U, from N^d by repeated squaring, goes ahead of the layers.
 
-    The vectors of one level are independent, so every product sums at most
-    d terms of factors reduced mod p: entries stay within d*(p-1)^2, the
-    bound column_basis keeps on [N; I].
+    The stack has a row per w and power of N leaving it nonzero: about d
+    rows for Jordan blocks and induced matrices, whose free rows sit near
+    Jordan heads, but up to #blocks x index for dense conjugates P J P^-1
+    with skewed block sizes.  A layer is the one before times N^T, gathered
+    over N's nonzeros and summed per row of N by np.add.reduceat; like the
+    squaring, it sums at most d products of factors reduced mod p, so its
+    entries stay within d*(p-1)^2 in int64.
     """
     d = n_mat.shape[0]
-    ranks = [d]
     if max_k == 0:
-        return ranks
-    # column_basis makes its own int64 copy; the input needs only 0..p-1
-    stacked = np.zeros((2 * d, d), dtype=np.min_scalar_type(p - 1))
-    stacked[:d] = n_mat % p
-    np.fill_diagonal(stacked[d:], 1)
-    basis, pivots = column_basis(stacked, p)
-    r = sum(1 for i in pivots if i < d)
-    piv = pivots[:r]
-    free = np.ones(d, dtype=bool)
-    free[piv] = False
-    e_free = basis[:d][free, :r]
-    t = basis[d:, :r]
-    new = basis[d:, r:]
-    kept_res = np.zeros((d - r, 0), dtype=np.int64)
-    kept_piv = np.zeros((r, 0), dtype=np.int64)
-    while new.shape[1]:
-        ranks.append(ranks[-1] - new.shape[1])
-        if ranks[-1] == 0 or len(ranks) > max_k:
-            break
-        new_piv = new[piv]
-        res = np.hstack([kept_res, (new[free] - e_free @ new_piv) % p])
-        at_piv = np.hstack([kept_piv, new_piv])
-        eye = np.eye(res.shape[1], dtype=np.int64)
-        split, spiv = column_basis(np.vstack([res, eye]), p)
-        # pivots in the residue rows: kept; in the identity rows: null
-        s = sum(1 for i in spiv if i < d - r)
-        kept_res = split[: d - r, :s]
-        kept_piv = at_piv @ split[d - r :, :s] % p
-        y_piv = at_piv @ split[d - r :, s:] % p
-        # only the nonzero rows of y[piv] meet T (a third or so on tensors)
-        rows = np.flatnonzero(y_piv.any(axis=1))
-        new = t[:, rows] @ y_piv[rows] % p
-    ranks += [ranks[-1]] * (max_k + 1 - len(ranks))
-    return ranks
+        return [d]
+    # every array kept here holds entries 0..p-1, so N is reduced straight
+    # into the smallest dtype that fits; column_basis makes its own int64 copy
+    small = np.min_scalar_type(p - 1)
+    n = np.remainder(n_mat, p, out=np.empty(n_mat.shape, dtype=small), casting="unsafe")
+    layer = np.delete(np.eye(d, dtype=small), column_basis(n, p)[1], axis=0)
+    rows, cols = np.nonzero(n)
+    vals = n[rows, cols].astype(np.int64)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    layers = []
+    while layer.shape[0] and len(layers) < d:
+        layers.append(layer)
+        sums = np.add.reduceat(layer[:, cols] * vals, starts, axis=1) % p
+        layer = np.zeros_like(layer)
+        layer[:, rows[starts]] = sums
+        layer = layer[layer.any(axis=1)]
+    head = np.zeros((0, d), dtype=small)
+    if layer.shape[0]:
+        power, e = n.astype(np.int64), 1
+        while e < d:
+            power, e = power @ power % p, 2 * e
+        head = column_basis(power, p)[0].T
+    stack = [head, *layers[::-1]]
+    pivots = column_basis(np.vstack(stack), p)[1]
+    # found[k]: the pivots in U and the layers j >= k, which come first
+    found = np.searchsorted(pivots, np.cumsum([len(x) for x in stack]))[::-1]
+    ranks = found[np.minimum(np.arange(max_k + 1), len(layers))] + d - len(pivots)
+    return ranks.tolist()
 
 
 def _series_inverse(u: np.ndarray, p: int) -> np.ndarray:

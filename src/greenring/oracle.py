@@ -120,23 +120,25 @@ def realize(ctx: RingContext, r: int) -> np.ndarray:
     return gfp.jordan_block(r)
 
 
-def _module_matrix(g) -> np.ndarray:
-    """g as a square int64 array: the one input check of every matrix route.
+def _module_matrix(g, p: int) -> np.ndarray:
+    """g mod p as a new square int64 array: the input check of every matrix route.
 
     Raises InvalidModuleError unless g is a square integer (not bool) array
-    or nested list; a float or bool entry is never truncated.
+    or nested list; a float or bool entry is never truncated.  The entries
+    are reduced in g's own dtype before the cast, so no uint64 or int64
+    extreme wraps on the way, and later products of them stay small.
     """
     g = np.asarray(g)
     if not np.issubdtype(g.dtype, np.integer):  # bool is not an integer dtype
         raise InvalidModuleError(f"matrix entries must be integers, got dtype {g.dtype}")
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InvalidModuleError(f"matrix shape {g.shape} is not square")
-    return g.astype(np.int64, copy=False)
+    return (g % p).astype(np.int64, copy=False)
 
 
 def tensor(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two module matrices."""
-    a, b = _module_matrix(a), _module_matrix(b)
+    a, b = _module_matrix(a, ctx.p), _module_matrix(b, ctx.p)
     _check_capacity(a.shape[0] * b.shape[0])
     return gfp.kron_mod(a, b, ctx.p)
 
@@ -183,7 +185,7 @@ def _induced_power(
 
 def wedge(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
     """Induced action on the n-th exterior power (basis: increasing n-subsets)."""
-    a = _module_matrix(a)
+    a = _module_matrix(a, ctx.p)
     d = a.shape[0]
     if not 0 <= n <= d:
         raise IndexRangeError(f"exterior degree {n} outside 0..{d}")
@@ -193,7 +195,7 @@ def wedge(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
 
 def sym(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
     """Induced action on the n-th symmetric power (basis: non-decreasing n-multisets)."""
-    a = _module_matrix(a)
+    a = _module_matrix(a, ctx.p)
     d = a.shape[0]
     if n < 0:
         raise IndexRangeError(f"symmetric degree {n} must be >= 0")
@@ -235,9 +237,9 @@ def decompose(ctx: RingContext, g: np.ndarray) -> DecompositionReport:
     array or nested list, square, and unipotent with order dividing the
     group order.
     """
-    g = _module_matrix(g)
-    d = g.shape[0]
-    n_mat = (g - np.eye(d, dtype=np.int64)) % ctx.p
+    n_mat = _module_matrix(g, ctx.p)
+    d = n_mat.shape[0]
+    n_mat[np.diag_indices(d)] -= 1
     profile = gfp.rank_profile(n_mat, ctx.p, ctx.order)
     return _profile_to_report(ctx, profile, d)
 

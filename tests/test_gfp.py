@@ -207,6 +207,17 @@ class TestRankProfile:
         assert gfp.rank_profile(n, p, 49) == block_ranks(sizes, 49)
         assert gfp.rank_profile(n.T.copy(), p, 49) == block_ranks(sizes, 49)
 
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_complement_far_from_heads(self, p):
+        # many small blocks beside one long one: the free rows of a dense
+        # conjugate are far from Jordan heads, so most of the 36 unit
+        # vectors run to depth 12 and the Krylov stack is much taller than d
+        rng = random.Random(8100 + p)
+        sizes = [1] * 30 + [2] * 5 + [12]
+        n = conjugated_jordan(rng, sizes, p)
+        assert gfp.rank_profile(n, p, 14) == block_ranks(sizes, 14)
+        assert gfp.rank_profile(n.T.copy(), p, 14) == block_ranks(sizes, 14)
+
     def test_truncated_and_padded(self):
         rng = random.Random(7700)
         sizes = [5, 3, 3, 1]
@@ -218,6 +229,13 @@ class TestRankProfile:
     def test_not_nilpotent(self):
         eye = np.eye(4, dtype=np.int64)
         assert gfp.rank_profile(eye, 3, 3) == [4, 4, 4, 4]
+
+    @pytest.mark.parametrize("p", (2, 3, 7))
+    def test_complement_meets_invertible_part(self, p):
+        # the free row e_0 has a component along the invertible part
+        # span{e_1}, so its Krylov layers never vanish: im N^d goes first
+        n = np.array([[0, 0], [1, 1]], dtype=np.int64)
+        assert gfp.rank_profile(n, p, 3) == [2, 1, 1, 1]
 
     def test_empty(self):
         assert gfp.rank_profile(np.zeros((0, 0), dtype=np.int64), 2, 3) == [0, 0, 0, 0]

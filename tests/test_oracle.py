@@ -173,6 +173,18 @@ class TestDecompose:
         assert decompose(CTX3, [[1, 1], [0, 1]]).multiplicities == ((2, 1),)
         assert decompose(CTX3, np.eye(2, dtype=np.int32)).multiplicities == ((1, 2),)
 
+    def test_entries_reduced_before_the_cast(self):
+        # reduced mod 3 in their own dtype, these are the identity, [[2]]
+        # and [[1]]; an int64 cast first wraps 2**64 - 1 to -1, squares
+        # 2**32 + 1 past int64 and takes g - 1 below int64 min
+        ctx = RingContext(3, 1)
+        g = np.array([[1, 2**64 - 1], [0, 1]], dtype=np.uint64)
+        assert decompose(ctx, g).multiplicities == ((1, 2),)
+        big = np.array([[2**32 + 1]], dtype=np.int64)
+        assert tensor(ctx, big, big).tolist() == [[1]]
+        low = np.array([[np.iinfo(np.int64).min]], dtype=np.int64)
+        assert decompose(ctx, low).multiplicities == ((1, 1),)
+
     def test_block_diagonal_multiset(self):
         mod = JordanModule(CTX3, (2, 3, 3, 9))
         rep = decompose(CTX3, mod.to_matrix())
