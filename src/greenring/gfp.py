@@ -10,12 +10,15 @@ values are reduced exactly where a zero test or an inverse needs them.
 The oracle decomposes a unipotent matrix from the rank profile of its
 displacement N, read off one Krylov elimination: unit vectors on the free
 rows of N's column basis span a complement W of im N, and one elimination
-of the layers N^j W, deepest first, counts every rank(N^k).  Elimination
-updates only the rows a pivot column touches, and a layer is a product over
-N's nonzeros, so the sparse displacements of induced Jordan actions stay
-cheap throughout.  A tensor of two Jordan blocks needs no matrix of its
-own: its block sizes are the Smith valuations of one small matrix over a
-truncated polynomial ring (jordan_pair_rank_profile).
+of the layers N^j W, deepest first, counts every rank(N^k).  The
+elimination never swaps columns: each pivot takes the first column not yet
+pivoted where its row is nonzero, updates only the rows that column
+touches, and the pivot columns move to the front once, at the end, inside
+the working copy.  A layer is a product over N's nonzeros, so the sparse
+displacements of induced Jordan actions stay cheap throughout.  A tensor of
+two Jordan blocks needs no matrix of its own: its block sizes are the Smith
+valuations of one small matrix over a truncated polynomial ring
+(jordan_pair_rank_profile).
 """
 
 from __future__ import annotations
@@ -50,35 +53,69 @@ def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     in place, so no second array of the input's size is allocated; m itself
     is never written.
 
-    Gauss-Jordan over the rows in order.  Each pivot step clears its row in
-    every other column, so when row i is reached every row above it is zero
-    in the columns not yet pivoted; the rank-1 update therefore touches only
-    the rows where the normalised pivot column is nonzero, at or below i.
-    A row is reduced mod p when it is reached; until then each step changes
-    its entries by at most (p-1)^2, d*(p-1)^2 in all.
+    Gauss-Jordan over the rows in order, with no column swaps: a boolean mask
+    marks the columns not yet pivoted, and row i's pivot is the first of them
+    where the reduced row is nonzero.  That column is normalised in place and
+    the rank-1 update clears row i in every other column.  So when row i is
+    reached every row above it is zero in the columns not yet pivoted, and
+    the update touches only the rows below i where the pivot column is
+    nonzero; row i itself becomes the unit vector of its pivot column.  Only
+    at the end do the pivot columns move to the front, in pivot order, each
+    copied once, with one d-long temporary at a time.
+    The reduced column-echelon form is unique, so which nonzero column is
+    taken does not change (e, pivots).
+
+    A row is reduced mod p when it is reached, and a pivot column below its
+    pivot when it is normalised; until then each step changes an entry by
+    at most (p-1)^2, d*(p-1)^2 in all.
     """
     a = np.array(m, dtype=np.int64)
     d, n = a.shape
+    free = np.ones(n, dtype=bool)
     pivots: list[int] = []
-    c = 0
+    pcols: list[int] = []
     for i in range(d):
-        if c == n:
+        if len(pcols) == n:
             break
-        a[i, :] %= p
-        nz = np.flatnonzero(a[i, c:])
-        if nz.size == 0:
+        row = a[i]
+        row %= p
+        live = row.astype(bool)
+        live &= free
+        j = int(live.argmax())
+        if not live[j]:
             continue
-        j = c + int(nz[0])
-        if j != c:
-            a[:, [c, j]] = a[:, [j, c]]
-        rows = i + np.flatnonzero(a[i:, c] % p)
-        col = (a[rows, c] % p) * mod_inverse(int(a[i, c]), p) % p
-        a[rows] -= np.outer(col, a[i, :])
-        a[i:, c] = 0
-        a[rows, c] = col
+        below = a[i + 1 :, j]
+        below %= p
+        rows = np.flatnonzero(below)
+        if rows.size:
+            col = below[rows] * mod_inverse(row[j], p) % p
+            rows += i + 1
+            a[rows] -= np.outer(col, row)
+            a[rows, j] = col
+        row.fill(0)
+        row[j] = 1
+        free[j] = False
         pivots.append(i)
-        c += 1
-    e = a[:, :c]
+        pcols.append(j)
+    # position c takes column pcols[c], each column copied once: a walk fills
+    # c, then the position c's column came from, and so on.  Walks from the
+    # positions whose own column is dropped (still free) end at a column past
+    # the first r; the cycles left over close through the held copy of their
+    # start.
+    r = len(pcols)
+    todo = [c != j for c, j in enumerate(pcols)]
+    for start in [*np.flatnonzero(free[:r]).tolist(), *range(r)]:
+        if not todo[start]:
+            continue
+        held = a[:, start].copy()
+        c = start
+        while todo[c]:
+            todo[c] = False
+            j = pcols[c]
+            a[:, c] = held if j == start else a[:, j]
+            if j < r:
+                c = j
+    e = a[:, :r]
     e %= p
     return e, pivots
 
@@ -95,11 +132,17 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     of the rows above it, so the pivots in the layers j >= k count rank(N^k)
     exactly.
 
-    In general V = U + K, with U = im N^d (N is invertible on it) and
-    K = ker N^d; W projects along U onto a complement of N K in K, so
-    im N^k = U + span{N^j w : j >= k}.  If N^d W = 0, the layers span K and
-    U adds d minus all pivots to each rank; otherwise N is not nilpotent,
-    and a basis of U, from N^d by repeated squaring, goes ahead of the layers.
+    Unrolled only L times, V = W + N V gives, for any N and every k <= L,
+    im N^k = im N^L + span{N^j w : k <= j < L}, so at most L layers are
+    built, L the least power of two at or above min(max_k, d).  If N^L W = 0,
+    every w lies in K = ker N^d, and im N^L = im N^(L+1) = ... is the part
+    U = im N^d on which N is invertible; U meets K only in 0, so it adds d
+    minus all pivots to each rank.  Otherwise N is not nilpotent of index
+    at most L, and a basis of im N^L, from N^L by repeated squaring, goes
+    ahead of the layers.  The oracle passes max_k = q, and unipotent input
+    of order dividing q dies by depth q <= L, so only input it rejects
+    reaches the squaring.  When max_k exceeds L, then L >= d and
+    im N^k = im N^L for k >= L.
 
     The stack has a row per w and power of N leaving it nonzero: about d
     rows for Jordan blocks and induced matrices, whose free rows sit near
@@ -120,8 +163,9 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     rows, cols = np.nonzero(n)
     vals = n[rows, cols].astype(np.int64)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    depth = 1 << (min(max_k, d) - 1).bit_length()
     layers = []
-    while layer.shape[0] and len(layers) < d:
+    while layer.shape[0] and len(layers) < depth:
         layers.append(layer)
         sums = np.add.reduceat(layer[:, cols] * vals, starts, axis=1) % p
         layer = np.zeros_like(layer)
@@ -130,12 +174,12 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     head = np.zeros((0, d), dtype=small)
     if layer.shape[0]:
         power, e = n.astype(np.int64), 1
-        while e < d:
+        while e < depth:
             power, e = power @ power % p, 2 * e
         head = column_basis(power, p)[0].T
     stack = [head, *layers[::-1]]
     pivots = column_basis(np.vstack(stack), p)[1]
-    # found[k]: the pivots in U and the layers j >= k, which come first
+    # found[k]: the pivots in im N^L and the layers j >= k, which come first
     found = np.searchsorted(pivots, np.cumsum([len(x) for x in stack]))[::-1]
     ranks = found[np.minimum(np.arange(max_k + 1), len(layers))] + d - len(pivots)
     return ranks.tolist()

@@ -49,6 +49,23 @@ def _check_capacity(size: int) -> None:
         raise OracleCapacityError(f"induced dimension {size} exceeds cap {cap}")
 
 
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers; a bool or a float is never truncated."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_index(ctx: RingContext, r, what: str = "index") -> None:
+    if not _is_integer(r):
+        raise IndexRangeError(f"{what} {r!r} is not an integer")
+    if not 1 <= r <= ctx.order:
+        raise IndexRangeError(f"{what} {r} outside 1..{ctx.order}")
+
+
+def _check_degree(n) -> None:
+    if not _is_integer(n) or n < 0:
+        raise IndexRangeError(f"degree {n!r} is not an integer >= 0")
+
+
 @dataclass(frozen=True)
 class JordanModule:
     """A genuine module given by its multiset of Jordan block sizes."""
@@ -58,10 +75,7 @@ class JordanModule:
 
     def __post_init__(self) -> None:
         for b in self.blocks:
-            if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
-                raise IndexRangeError(f"block size {b!r} is not an integer")
-            if not 1 <= b <= self.ctx.order:
-                raise IndexRangeError(f"block size {b} outside 1..{self.ctx.order}")
+            _check_index(self.ctx, b, "block size")
         object.__setattr__(self, "blocks", tuple(sorted(int(b) for b in self.blocks)))
 
     @property
@@ -115,8 +129,7 @@ class DecompositionReport:
 
 def realize(ctx: RingContext, r: int) -> np.ndarray:
     """The r x r unipotent Jordan block realizing V_r."""
-    if not 1 <= r <= ctx.order:
-        raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
+    _check_index(ctx, r)
     return gfp.jordan_block(r)
 
 
@@ -187,7 +200,8 @@ def wedge(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
     """Induced action on the n-th exterior power (basis: increasing n-subsets)."""
     a = _module_matrix(a, ctx.p)
     d = a.shape[0]
-    if not 0 <= n <= d:
+    _check_degree(n)
+    if n > d:
         raise IndexRangeError(f"exterior degree {n} outside 0..{d}")
     _check_capacity(math.comb(d, n))
     return _induced_power(ctx, n, a, alternating=True)
@@ -197,8 +211,7 @@ def sym(ctx: RingContext, n: int, a: np.ndarray) -> np.ndarray:
     """Induced action on the n-th symmetric power (basis: non-decreasing n-multisets)."""
     a = _module_matrix(a, ctx.p)
     d = a.shape[0]
-    if n < 0:
-        raise IndexRangeError(f"symmetric degree {n} must be >= 0")
+    _check_degree(n)
     _check_capacity(math.comb(d + n - 1, n) if n else 1)
     return _induced_power(ctx, n, a, alternating=False)
 
@@ -257,9 +270,8 @@ def pair_product(ctx: RingContext, a: int, b: int) -> DecompositionReport:
     V_a tensor V_b is V_b tensor V_a, so the smaller block sizes the Smith
     matrix.
     """
-    for r in (a, b):
-        if not 1 <= r <= ctx.order:
-            raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
+    _check_index(ctx, a)
+    _check_index(ctx, b)
     _check_capacity(a * b)
     a, b = min(a, b), max(a, b)
     profile = gfp.jordan_pair_rank_profile(a, b, ctx.p, ctx.order)
@@ -275,8 +287,8 @@ _POWER_CACHE: dict[tuple, DecompositionReport] = {}
 def _power_decomposition(
     ctx: RingContext, kind: str, n: int, r: int
 ) -> DecompositionReport:
-    if not 1 <= r <= ctx.order:
-        raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
+    _check_degree(n)
+    _check_index(ctx, r)
     if kind == "wedge" and n > r:
         # exterior degree above the dimension: the zero module
         return DecompositionReport(ctx, (), (0,) * (ctx.order + 1))

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from greenring import RingContext, gfp, oracle
+from greenring import InvalidModuleError, RingContext, gfp, oracle
 
 PRIMES = (2, 3, 5, 7, 31, 1021)
 
@@ -139,6 +139,53 @@ class TestColumnBasis:
         e, pivots = gfp.column_basis(m, p)
         assert_reduced_echelon(m, p, e, pivots, 260)
 
+    @pytest.mark.parametrize("p", (7, 31, 251, 1021))
+    def test_unsigned_input(self, p):
+        # rank_profile passes N and its Krylov stack as uint8 or uint16
+        rng = random.Random(7500 + p)
+        dtype = np.min_scalar_type(p - 1)
+        for d, n, density in SHAPES:
+            m = random_matrix(rng, d, n, p, density)
+            small = m.astype(dtype)
+            before = small.copy()
+            e, pivots = gfp.column_basis(small, p)
+            assert np.array_equal(small, before)
+            e64, pivots64 = gfp.column_basis(m, p)
+            e_ref, pivots_ref = reference_column_basis(m, p)
+            assert pivots == pivots64 == pivots_ref
+            assert e.dtype == np.int64
+            assert np.array_equal(e, e64) and np.array_equal(e, e_ref)
+
+    @pytest.mark.parametrize("build, size", [("tensor", (10, 12)), ("tensor", (11, 13)),
+                                             ("wedge", 16), ("sym", 14)])
+    def test_induced_displacements(self, build, size, monkeypatch):
+        # both eliminations of rank_profile on the displacement of a tensor,
+        # a wedge square and a sym square at (7,2), d = 105..143: the pivot
+        # column of N is never the first column not yet pivoted, and that of
+        # the Krylov stack often is not
+        ctx = RingContext(7, 2)
+        if build == "tensor":
+            g = oracle.tensor(ctx, *(oracle.realize(ctx, r) for r in size))
+        else:
+            g = getattr(oracle, build)(ctx, 2, oracle.realize(ctx, size))
+        n = (g - np.eye(g.shape[0], dtype=np.int64)) % 7
+        calls = []
+        column_basis = gfp.column_basis
+
+        def record(m, p):
+            calls.append(m.copy())
+            return column_basis(m, p)
+
+        monkeypatch.setattr(gfp, "column_basis", record)
+        gfp.rank_profile(n, 7, ctx.order)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        for m in calls:
+            e, pivots = gfp.column_basis(m, 7)
+            e_ref, pivots_ref = reference_column_basis(m, 7)
+            assert pivots == pivots_ref
+            assert np.array_equal(e, e_ref)
+
 
 def unit_triangular_inverse(t, p):
     """Inverse of a unit lower-triangular matrix mod p, by forward substitution."""
@@ -236,6 +283,24 @@ class TestRankProfile:
         # span{e_1}, so its Krylov layers never vanish: im N^d goes first
         n = np.array([[0, 0], [1, 1]], dtype=np.int64)
         assert gfp.rank_profile(n, p, 3) == [2, 1, 1, 1]
+
+    def test_invertible_half_depth_capped(self):
+        # a dense conjugate of (invertible 60 x 60) + 0: every Krylov layer
+        # survives, so the depth is capped at 8 >= max_k and a basis of
+        # im N^8 goes ahead of the layers (all d = 120 layers without the cap)
+        p = 7
+        rng = random.Random(8200)
+        a = random_matrix(rng, 60, 60, p, 1.0)
+        while reference_rank(a, p) < 60:
+            a = random_matrix(rng, 60, 60, p, 1.0)
+        n = np.zeros((120, 120), dtype=np.int64)
+        n[:60, :60] = a
+        n = random_conjugate(rng, n, p)
+        expected = [120] + [60] * 7
+        assert power_ranks(n, p, 7) == expected
+        assert gfp.rank_profile(n, p, 7) == expected
+        with pytest.raises(InvalidModuleError):
+            oracle.decompose(RingContext(p, 1), (n + np.eye(120, dtype=np.int64)) % p)
 
     def test_empty(self):
         assert gfp.rank_profile(np.zeros((0, 0), dtype=np.int64), 2, 3) == [0, 0, 0, 0]

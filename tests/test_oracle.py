@@ -551,3 +551,27 @@ class TestJordanModule:
         mod = JordanModule(CTX3, (3, 1, 2))
         assert mod.blocks == (1, 2, 3)
         assert mod.dimension == 6
+
+
+class TestIndexArguments:
+    # an index or degree that is a bool or a float is rejected, never
+    # truncated: wedge_decomposition(ctx, 2, True) was the zero module
+    CALLS = {
+        "realize": lambda v: realize(CTX5, v),
+        "pair_product_a": lambda v: pair_product(CTX5, v, 3),
+        "pair_product_b": lambda v: pair_product(CTX5, 3, v),
+        "wedge_index": lambda v: wedge_decomposition(CTX5, 2, v),
+        "sym_index": lambda v: sym_decomposition(CTX5, 2, v),
+        "wedge_degree": lambda v: wedge_decomposition(CTX5, v, 3),
+        "sym_degree": lambda v: sym_decomposition(CTX5, v, 3),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, 2.5, "2", None, -1])
+    def test_rejected(self, call, value):
+        with pytest.raises(IndexRangeError):
+            self.CALLS[call](value)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_numpy_integers_accepted(self, call):
+        assert self.CALLS[call](np.int64(2)) is not None
