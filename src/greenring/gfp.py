@@ -8,17 +8,18 @@ prime and dimension the ring contexts and the oracle cap admit.  Other
 values are reduced exactly where a zero test or an inverse needs them.
 
 The oracle decomposes a unipotent matrix from the rank profile of its
-displacement N, read off one Krylov elimination: unit vectors on the free
-rows of N's column basis span a complement W of im N, and one elimination
-of the layers N^j W, deepest first, counts every rank(N^k).  The
-elimination never swaps columns: each pivot takes the first column not yet
-pivoted where its row is nonzero, updates only the rows that column
-touches, and the pivot columns move to the front once, at the end, inside
-the working copy.  A layer is a product over N's nonzeros, so the sparse
-displacements of induced Jordan actions stay cheap throughout.  A tensor of
-two Jordan blocks needs no matrix of its own: its block sizes are the Smith
-valuations of one small matrix over a truncated polynomial ring
-(jordan_pair_rank_profile).
+displacement N, read off one Krylov elimination: unit vectors on the rows of
+N outside its row rank profile span a complement W of im N, and one
+elimination of the layers N^j W, deepest first, counts every rank(N^k).
+Both eliminations need only which rows are independent of the rows above
+them, so they run pivot_rows, a forward elimination that builds no basis
+and updates only the rows in the pivot's column, from the pivot to the last
+nonzero of the pivot row.  column_basis, the reduced column-echelon form,
+is left for the basis of im N^L that non-nilpotent input needs.  A layer is
+a product over N's nonzeros, so the sparse displacements of induced Jordan
+actions stay cheap throughout.  A tensor of two Jordan blocks needs no
+matrix of its own: its block sizes are the Smith valuations of one small
+matrix over a truncated polynomial ring (jordan_pair_rank_profile).
 """
 
 from __future__ import annotations
@@ -120,17 +121,62 @@ def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return e, pivots
 
 
+def pivot_rows(m: np.ndarray, p: int) -> list[int]:
+    """Row rank profile of m over GF(p): the rows independent of the rows above.
+
+    These are the pivots of column_basis(m, p), found by forward elimination
+    alone, on a private C-ordered int64 copy: no basis, no column bookkeeping.
+    Row i is reduced mod p when it is reached, and its pivot is its first
+    nonzero column; that column is cleared in the rows below i, so when row i
+    is reached it is zero in every earlier pivot column, and it is zero as a
+    whole exactly when it lies in the span of the rows above.  An update
+    touches only the rows below i that are nonzero in the pivot column, and
+    in them only the columns from the pivot to the last nonzero of row i: a
+    row gather and a contiguous slice, no column index.  It stops at the n-th
+    pivot of an n-column m.
+
+    Factors are reduced before they multiply, so each update changes an entry
+    by at most (p-1)^2, d*(p-1)^2 in all before its row is reached; a row
+    with a multiple of p left in the pivot column takes a zero update.
+    """
+    a = np.array(m, dtype=np.int64, order="C")
+    d, n = a.shape
+    pivots: list[int] = []
+    for i in range(d):
+        row = a[i]
+        row %= p
+        support = row.nonzero()[0]
+        if not len(support):
+            continue
+        pivots.append(i)
+        if len(pivots) == n:
+            break
+        j = support[0]
+        below = a[i + 1 :, j]
+        rows = below.nonzero()[0]
+        if len(rows):
+            factor = below[rows] * mod_inverse(row[j], p) % p
+            span = slice(j, support[-1] + 1)
+            rows += i + 1
+            a[rows, span] -= factor[:, None] * row[span]
+    return pivots
+
+
+# entries of the layer product's int64 buffer (2 MB)
+_PRODUCT_CELLS = 1 << 18
+
+
 def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     """[rank(N^0), rank(N^1), ..., rank(N^max_k)] for a square matrix N.
 
-    Read off one Krylov elimination.  The unit vectors W on the free
-    (non-pivot) rows of column_basis(N) span a complement of im N: a
-    combination of them has zero pivot entries, so it lies in im N only if
-    it is zero.  Hence V = W + N V, and for nilpotent N unrolling gives
-    im N^k = span{N^j w : j >= k}.  The layers N^j W, zero rows dropped, are
-    stacked deepest first and eliminated once; a pivot is a row independent
-    of the rows above it, so the pivots in the layers j >= k count rank(N^k)
-    exactly.
+    Read off one Krylov elimination.  The unit vectors W on the free rows,
+    those outside pivot_rows(N) (the pivots of column_basis(N)), span a
+    complement of im N: a combination of them has zero pivot entries, so it
+    lies in im N only if it is zero.  Hence V = W + N V, and for nilpotent N
+    unrolling gives im N^k = span{N^j w : j >= k}.  The layers N^j W, zero
+    rows dropped, are stacked deepest first and eliminated once by
+    pivot_rows; a pivot is a row independent of the rows above it, so the
+    pivots in the layers j >= k count rank(N^k) exactly.
 
     Unrolled only L times, V = W + N V gives, for any N and every k <= L,
     im N^k = im N^L + span{N^j w : k <= j < L}, so at most L layers are
@@ -148,29 +194,41 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     rows for Jordan blocks and induced matrices, whose free rows sit near
     Jordan heads, but up to #blocks x index for dense conjugates P J P^-1
     with skewed block sizes.  A layer is the one before times N^T, gathered
-    over N's nonzeros and summed per row of N by np.add.reduceat; like the
-    squaring, it sums at most d products of factors reduced mod p, so its
-    entries stay within d*(p-1)^2 in int64.
+    over N's nonzeros and summed per row of N by np.add.reduceat, a chunk of
+    rows at a time so that the int64 temporary of a dense N stays small.
+    Like the squaring and the updates of pivot_rows, it sums at most d
+    products of factors reduced mod p, so every int64 entry stays within
+    d*(p-1)^2, far inside int64 for every prime and dimension admitted.
     """
     d = n_mat.shape[0]
     if max_k == 0:
         return [d]
     # every array kept here holds entries 0..p-1, so N is reduced straight
-    # into the smallest dtype that fits; column_basis makes its own int64 copy
+    # into the smallest dtype that fits; the eliminations make int64 copies
     small = np.min_scalar_type(p - 1)
     n = np.remainder(n_mat, p, out=np.empty(n_mat.shape, dtype=small), casting="unsafe")
-    layer = np.delete(np.eye(d, dtype=small), column_basis(n, p)[1], axis=0)
+    layer = np.delete(np.eye(d, dtype=small), pivot_rows(n, p), axis=0)
     rows, cols = np.nonzero(n)
     vals = n[rows, cols].astype(np.int64)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    heads = rows[starts]
     depth = 1 << (min(max_k, d) - 1).bit_length()
+    # the product has a column per nonzero of N, so it is formed a chunk of
+    # rows at a time in two buffers sized for the first layer, the tallest
+    chunk = max(1, min(len(layer), _PRODUCT_CELLS // max(1, len(cols))))
+    picked = np.empty((chunk, len(cols)), dtype=small)
+    terms = np.empty((chunk, len(cols)), dtype=np.int64)
     layers = []
     while layer.shape[0] and len(layers) < depth:
         layers.append(layer)
-        sums = np.add.reduceat(layer[:, cols] * vals, starts, axis=1) % p
-        layer = np.zeros_like(layer)
-        layer[:, rows[starts]] = sums
-        layer = layer[layer.any(axis=1)]
+        nxt = np.zeros_like(layer)
+        for at in range(0, len(layer), chunk):
+            part = layer[at : at + chunk]
+            m = len(part)
+            np.take(part, cols, axis=1, out=picked[:m])
+            np.multiply(picked[:m], vals, out=terms[:m])
+            nxt[at : at + m, heads] = np.add.reduceat(terms[:m], starts, axis=1) % p
+        layer = nxt[nxt.any(axis=1)]
     head = np.zeros((0, d), dtype=small)
     if layer.shape[0]:
         power, e = n.astype(np.int64), 1
@@ -178,7 +236,7 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
             power, e = power @ power % p, 2 * e
         head = column_basis(power, p)[0].T
     stack = [head, *layers[::-1]]
-    pivots = column_basis(np.vstack(stack), p)[1]
+    pivots = pivot_rows(np.vstack(stack), p)
     # found[k]: the pivots in im N^L and the layers j >= k, which come first
     found = np.searchsorted(pivots, np.cumsum([len(x) for x in stack]))[::-1]
     ranks = found[np.minimum(np.arange(max_k + 1), len(layers))] + d - len(pivots)

@@ -3,10 +3,12 @@
 column_basis returns the reduced column-echelon form of the column space,
 which is unique: the pivots are the rows that raise the rank of the rows
 above them, and e is the one basis of the column space with e[pivots] = I.
-So any correct elimination must return exactly the same (e, pivots).
+So any correct elimination must return exactly the same (e, pivots), and
+pivot_rows exactly the same pivots.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +94,7 @@ class TestColumnBasis:
                 e, pivots = gfp.column_basis(m, p)
                 e_ref, pivots_ref = reference_column_basis(m, p)
                 assert pivots == pivots_ref
+                assert gfp.pivot_rows(m, p) == pivots_ref
                 assert np.array_equal(e, e_ref)
                 assert_reduced_echelon(m, p, e, pivots, len(pivots_ref))
 
@@ -103,6 +106,7 @@ class TestColumnBasis:
             e, pivots = gfp.column_basis(m, p)
             e_ref, pivots_ref = reference_column_basis(m, p)
             assert pivots == pivots_ref
+            assert gfp.pivot_rows(m, p) == pivots_ref
             assert np.array_equal(e, e_ref)
             assert_reduced_echelon(m, p, e, pivots, r)
 
@@ -115,6 +119,7 @@ class TestColumnBasis:
         e, pivots = gfp.column_basis(shifted, 7)
         e_ref, pivots_ref = reference_column_basis(m, 7)
         assert pivots == pivots_ref
+        assert gfp.pivot_rows(shifted, 7) == pivots_ref
         assert np.array_equal(e, e_ref)
 
     def test_input_untouched(self):
@@ -122,6 +127,8 @@ class TestColumnBasis:
         m = random_matrix(rng, 12, 12, 5, 0.5)
         before = m.copy()
         gfp.column_basis(m, 5)
+        assert np.array_equal(m, before)
+        assert gfp.pivot_rows(m, 5) == reference_column_basis(m, 5)[1]
         assert np.array_equal(m, before)
 
     def test_dense_large_prime(self):
@@ -133,11 +140,13 @@ class TestColumnBasis:
         e, pivots = gfp.column_basis(m, p)
         e_ref, pivots_ref = reference_column_basis(m, p)
         assert pivots == pivots_ref
+        assert gfp.pivot_rows(m, p) == pivots_ref
         assert np.array_equal(e, e_ref)
         assert_reduced_echelon(m, p, e, pivots, len(pivots))
         m = low_rank_matrix(rng, 300, 300, 260, p)
         e, pivots = gfp.column_basis(m, p)
         assert_reduced_echelon(m, p, e, pivots, 260)
+        assert gfp.pivot_rows(m, p) == pivots
 
     @pytest.mark.parametrize("p", (7, 31, 251, 1021))
     def test_unsigned_input(self, p):
@@ -153,16 +162,18 @@ class TestColumnBasis:
             e64, pivots64 = gfp.column_basis(m, p)
             e_ref, pivots_ref = reference_column_basis(m, p)
             assert pivots == pivots64 == pivots_ref
+            assert gfp.pivot_rows(small, p) == pivots_ref
+            assert np.array_equal(small, before)
             assert e.dtype == np.int64
             assert np.array_equal(e, e64) and np.array_equal(e, e_ref)
 
     @pytest.mark.parametrize("build, size", [("tensor", (10, 12)), ("tensor", (11, 13)),
                                              ("wedge", 16), ("sym", 14)])
     def test_induced_displacements(self, build, size, monkeypatch):
-        # both eliminations of rank_profile on the displacement of a tensor,
-        # a wedge square and a sym square at (7,2), d = 105..143: the pivot
-        # column of N is never the first column not yet pivoted, and that of
-        # the Krylov stack often is not
+        # both eliminations of rank_profile, on N and on the Krylov stack, for
+        # the displacement of a tensor, a wedge square and a sym square at
+        # (7,2), d = 105..143: the pivot column of N is never the first
+        # column not yet pivoted, and that of the Krylov stack often is not
         ctx = RingContext(7, 2)
         if build == "tensor":
             g = oracle.tensor(ctx, *(oracle.realize(ctx, r) for r in size))
@@ -170,21 +181,33 @@ class TestColumnBasis:
             g = getattr(oracle, build)(ctx, 2, oracle.realize(ctx, size))
         n = (g - np.eye(g.shape[0], dtype=np.int64)) % 7
         calls = []
-        column_basis = gfp.column_basis
+        pivot_rows = gfp.pivot_rows
 
         def record(m, p):
             calls.append(m.copy())
-            return column_basis(m, p)
+            return pivot_rows(m, p)
 
-        monkeypatch.setattr(gfp, "column_basis", record)
+        monkeypatch.setattr(gfp, "pivot_rows", record)
         gfp.rank_profile(n, 7, ctx.order)
         monkeypatch.undo()
         assert len(calls) == 2
         for m in calls:
             e, pivots = gfp.column_basis(m, 7)
             e_ref, pivots_ref = reference_column_basis(m, 7)
-            assert pivots == pivots_ref
+            assert gfp.pivot_rows(m, 7) == pivots == pivots_ref
             assert np.array_equal(e, e_ref)
+
+    @pytest.mark.parametrize("p", (2, 7, 1021))
+    def test_pivot_rows_any_memory_order(self, p):
+        # the rows found must not depend on the memory order of the input:
+        # an elimination that updates a flat view of a Fortran-ordered copy
+        # would write into a temporary and lose its updates
+        rng = random.Random(7600 + p)
+        for d, n, density in SHAPES:
+            m = random_matrix(rng, d, n, p, density)
+            for view in (np.asfortranarray(m), m.T, np.asfortranarray(m).T):
+                ref = np.ascontiguousarray(view)
+                assert gfp.pivot_rows(view, p) == reference_column_basis(ref, p)[1]
 
 
 def unit_triangular_inverse(t, p):
@@ -301,6 +324,26 @@ class TestRankProfile:
         assert gfp.rank_profile(n, p, 7) == expected
         with pytest.raises(InvalidModuleError):
             oracle.decompose(RingContext(p, 1), (n + np.eye(120, dtype=np.int64)) % p)
+
+    def test_dense_layer_product_memory(self):
+        # a dense N has d^2 nonzeros, so one unchunked layer product of its
+        # 120 free rows would be a 120 x 49,000 int64 temporary (47 MB)
+        p = 7
+        rng = random.Random(8300)
+        a = random_matrix(rng, 120, 120, p, 1.0)
+        while reference_rank(a, p) < 120:
+            a = random_matrix(rng, 120, 120, p, 1.0)
+        n = np.zeros((240, 240), dtype=np.int64)
+        n[:120, :120] = a
+        n = random_conjugate(rng, n, p)
+        tracemalloc.start()
+        try:
+            ranks = gfp.rank_profile(n, p, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert ranks == power_ranks(n, p, 7) == [240] + [120] * 7
 
     def test_empty(self):
         assert gfp.rank_profile(np.zeros((0, 0), dtype=np.int64), 2, 3) == [0, 0, 0, 0]

@@ -15,10 +15,11 @@ for the run_seconds of BENCHMARK.json, back to back, the parent first on odd
 seeds and the change first on even ones.  The file records, per workload,
 the median and quartiles (linear interpolation) of every end-to-end metric
 on each side, every run's values, in how many seed pairs the change was
-better, whether the output digests agree, and whether seed 0 matches
-`perfbench/baseline.json`; then the medians of the per-layer metrics from
-`--trace 1` runs of --trace-seeds, and the machine (nproc, Python and numpy
-versions).  Only the standard library is used here.
+better, a verdict per metric (see `verdict`), whether the output digests
+agree, and whether seed 0 matches `perfbench/baseline.json`; then the
+medians of the per-layer metrics from `--trace 1` runs of --trace-seeds,
+and the machine (nproc, Python and numpy versions).  Only the standard
+library is used here.
 """
 
 from __future__ import annotations
@@ -97,30 +98,68 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q1, 4), round(q3, 4)]
 
 
+def pair_wins(metric: dict, parent: list[float], change: list[float]) -> int:
+    """The seed pairs in which the change read better; ties count for neither."""
+    sign = 1 if metric["better"] == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
+def verdict(metric: dict, parent: list[float], change: list[float],
+            parent_failed: int = 0, change_failed: int = 0) -> str:
+    """better, worse, unresolved or unchanged, for one metric over seed pairs.
+
+    parent[k] and change[k] are the two runs of one seed.  better: the change
+    reads better in at least 9 of 10 pairs (ties count for neither) and its
+    median beats the parent's by more than the parent's interquartile range,
+    or every change run beats every parent run; either way with no more
+    failed ops than the parent.  Otherwise unresolved when the parent's own
+    interquartile range is wider than the metric's bound (a fraction of the
+    parent's median), since noise alone could then cross the bound; worse
+    when the change's median is worse than the parent's by more than the
+    bound; and unchanged when it is not.
+    """
+    sign = 1 if metric["better"] == "lower" else -1
+    wins = pair_wins(metric, parent, change)
+    mid_p, mid_c = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    gap = sign * (mid_p - mid_c)
+    bound = metric["bound"] * abs(mid_p)
+    separated = max(sign * c for c in change) < min(sign * p for p in parent)
+    if change_failed <= parent_failed and (
+            (10 * wins >= 9 * len(parent) and gap > q3 - q1) or separated):
+        return "better"
+    if q3 - q1 > bound:
+        return "unresolved"
+    return "worse" if -gap > bound else "unchanged"
+
+
 def summarize(metrics: list[dict], runs: list[dict[str, dict]], seeds: list[int]) -> dict:
     """The end-to-end record of one workload over its seed pairs."""
+    sides = ("parent", "change")
+    values = {name: {m["name"]: [r[name]["metrics"][m["name"]]["value"] for r in runs]
+                     for m in metrics} for name in sides}
     out: dict = {"seeds": seeds}
-    for name in ("parent", "change"):
+    for name in sides:
         side: dict = {}
         for m in metrics:
-            values = [r[name]["metrics"][m["name"]]["value"] for r in runs]
-            side[m["name"]] = round(statistics.median(values), 4)
-            side[m["name"] + "_quartiles"] = quartiles(values)
+            side[m["name"]] = round(statistics.median(values[name][m["name"]]), 4)
+            side[m["name"] + "_quartiles"] = quartiles(values[name][m["name"]])
         side["failed_ops"] = sum(r[name]["failed"] for r in runs)
         side["attempted_ops"] = sum(r[name]["attempted"] for r in runs)
         out[name] = side
-    better = {}
-    for m in metrics:
-        sign = 1 if m["better"] == "lower" else -1
-        wins = sum(sign * (r["change"]["metrics"][m["name"]]["value"]
-                           - r["parent"]["metrics"][m["name"]]["value"]) < 0 for r in runs)
-        better[m["name"]] = f"{wins}/{len(runs)}"
-    out["change_better_pairs"] = better
-    out["runs"] = {name: {m["name"]: [round(r[name]["metrics"][m["name"]]["value"], 4) for r in runs]
-                          for m in metrics} for name in ("parent", "change")}
+    parent, change = values["parent"], values["change"]
+    out["change_better_pairs"] = {
+        m["name"]: f"{pair_wins(m, parent[m['name']], change[m['name']])}/{len(runs)}"
+        for m in metrics}
+    out["verdict"] = {
+        m["name"]: verdict(m, parent[m["name"]], change[m["name"]],
+                           out["parent"]["failed_ops"], out["change"]["failed_ops"])
+        for m in metrics}
+    out["runs"] = {name: {k: [round(v, 4) for v in vs] for k, vs in values[name].items()}
+                   for name in sides}
     out["digests_identical"] = all(r["parent"]["digest"] == r["change"]["digest"] for r in runs)
     out["all_runs_correct"] = all(r[name]["correct"] and r[name]["exit_code"] == 0
-                                  for r in runs for name in ("parent", "change"))
+                                  for r in runs for name in sides)
     return out
 
 
@@ -159,7 +198,8 @@ def main(argv: list[str] | None = None) -> int:
                    "first on odd seeds and the change first on even seeds; medians and "
                    "quartiles (linear interpolation) over the seeds listed; times are CPU "
                    "seconds; change_better_pairs counts the seed pairs in which the change "
-                   "read better, ties counting for neither; seed 0 ran once more with "
+                   "read better, ties counting for neither; verdict per metric as in "
+                   "bench_pair.verdict; seed 0 ran once more with "
                    "--seconds 1 on both sides to check perfbench/baseline.json"),
         "end_to_end": {},
         "per_layer": [],
