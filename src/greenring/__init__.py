@@ -14,6 +14,7 @@ from .adams import (
     adams,
     adams_basis,
     adams_on_generator,
+    adams_table,
     clear_cache,
     fold_exponent,
     shape_check,
@@ -87,6 +88,7 @@ __all__ = [
     "adams_basis",
     "adams_from_exterior_sequence",
     "adams_on_generator",
+    "adams_table",
     "basis_element",
     "clear_cache",
     "congruent_mod_regular",

@@ -1,13 +1,34 @@
 """Adams operations on the Green ring for exponents coprime to p.
 
 The n-th operation is computed on basis modules by a level recursion that
-needs no ring multiplication: writing s = k p^m + r at the level m just below
-s, the value on V_s is assembled from the values on V_r and V_{p^m - r} by
-the spreading maps, with the exponents folded into 1..p-1 through the
-dihedral symmetry of period 2p.  The k + 1 spreads are added straight into
-the value's one accumulator dict, with no element built for any of them, so
-a value costs time in the supports involved, not in the group order.
-Results are memoized per context.
+needs no ring multiplication: writing s = k q + r with q = p^m the level just
+below s and 1 <= r <= q, the value on V_s is a sum of k + 1 spreads,
+
+    psi(V_s) = sum over j = 0..k of spread(o_j q, psi(V_r))      for k - j even,
+                                    spread(o_j q, psi(V_{q-r}))  for k - j odd,
+
+where o_j = fold_exponent(j n) folds the offsets into 0..p-1 through the
+dihedral symmetry of period 2p.  Consecutive values of one parity of k share
+all but their two newest spreads, which gives the level identity
+
+    psi(V_{kq+r}) = psi(V_{(k-2)q+r}) + spread(o_k q, psi(V_r))
+                    + spread(o_{k-1} q, psi(V_{q-r})),
+
+with psi(V_r) at k = 0 and 0 at k = -1.
+
+There are two routes, one per job, and both fill one memo per context:
+
+- adams_basis (and adams, for products and single values) runs the sum
+  above for one value, adding its spreads straight into one accumulator
+  dict, so a value costs time in the supports involved, not in q.
+- adams_table runs the level identity for every value at once: a level is a
+  pair of dense int32 arrays per block of r, and each step k is two slice
+  additions, one per spread.  A spread never writes one index twice, so a
+  slice addition is exact.  A value at level m + 1 is a sum of at most p
+  spreads of values at levels <= m, each adding at most one term to an
+  index, so by induction every multiplicity of a value on V_s, and of each
+  partial sum the arrays hold, is at most p^level(s) <= q in magnitude:
+  int32 is exact far beyond the order cap.
 """
 
 from __future__ import annotations
@@ -15,15 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 
 from .core import (
     GreenElement,
     RingContext,
     _check_support,
+    _unit_terms,
     basis_element,
     multiply,
     one,
     ring_generator,
+    zero,
 )
 from .errors import (
     ContextMismatchError,
@@ -31,6 +55,12 @@ from .errors import (
     IndexRangeError,
 )
 from .polynomials import dickson_first
+
+# after the package's own modules: importing numpy first leaves more young
+# objects at the end of `import greenring`, enough to move a generation-1
+# collection of the cyclic collector (about 1.5 ms) into the first ring
+# operations of a process
+import numpy as np
 
 _CACHE: dict[tuple[int, int], dict[tuple[int, int], GreenElement]] = {}
 
@@ -144,16 +174,128 @@ def adams_basis(ctx: RingContext, n: int, s: int, fold: bool = True) -> GreenEle
     make exact; fold=False runs the level recursion on the raw exponent, so
     those identities can be verified rather than assumed.
     """
+    _check_exponent(ctx, n)
+    if not 1 <= s <= ctx.order:
+        raise IndexRangeError(f"index {s} outside 1..{ctx.order}")
+    n_eff = fold_exponent(ctx, n) if fold else n
+    return _adams_basis(ctx, n_eff, s)
+
+
+def _check_exponent(ctx: RingContext, n: int) -> None:
     if n < 1:
         raise DivisibilityError(f"exponent must be >= 1, got {n}")
     if n % ctx.p == 0:
         raise DivisibilityError(
             f"exponent {n} divisible by p = {ctx.p} is not supported"
         )
-    if not 1 <= s <= ctx.order:
-        raise IndexRangeError(f"index {s} outside 1..{ctx.order}")
-    n_eff = fold_exponent(ctx, n) if fold else n
-    return _adams_basis(ctx, n_eff, s)
+
+
+# A block of r has as many rows as keep each working array near this many
+# int32 cells (128 KiB), and the rows of as many steps k as fit in the same
+# size are read out together: the temporaries of a table then stay small next
+# to the table itself, and a numpy call is never spent on one short row.
+_BLOCK_CELLS = 1 << 15
+
+
+def adams_table(ctx: RingContext, n: int) -> list[GreenElement]:
+    """The n-th Adams operation on V_1..V_q, in order, computed level by level.
+
+    Requires p not dividing n; the exponent is folded as in adams_basis.
+    Every value is left in the memo, and a value already memoized is
+    returned as that same object, so adams_basis after a table is a cache
+    hit.  Each level runs the level identity of the module docstring on
+    dense int32 blocks of r, two slice additions per step k; multiplicities
+    stay within q in magnitude, so int32 is exact.
+    """
+    _check_exponent(ctx, n)
+    n = fold_exponent(ctx, n)
+    cache = _context_cache(ctx)
+    memo = [cache.get((n, s)) for s in range(1, ctx.order + 1)]
+    if all(v is not None for v in memo):
+        return memo
+    offsets = _spread_offsets(ctx, n)
+    units = _unit_terms(ctx.order)
+    table = [basis_element(ctx, 1)]
+    q = 1
+    while q < ctx.order:
+        table += [None] * ((ctx.p - 1) * q)
+        rows = max(1, min(q, _BLOCK_CELLS // (ctx.p * q + 1)))
+        for lo in range(1, q + 1, rows):
+            _level_block(ctx, table, offsets, units, q, lo, min(lo + rows, q + 1))
+        q *= ctx.p
+    return [cache.setdefault((n, s), v) for s, v in enumerate(table, 1)]
+
+
+def _level_block(ctx: RingContext, table: list, offsets: tuple[int, ...], units: list,
+                 q: int, lo: int, hi: int) -> None:
+    """Fill table[s - 1] for s = k q + r, k = 1..p-1 and lo <= r < hi.
+
+    table holds the values on V_1..V_q.  The working arrays are this call's
+    locals, so they are freed before the next block allocates its own.
+    """
+    p, h, width = ctx.p, hi - lo, ctx.p * q + 1  # column t holds V_t, for t = 0..pq
+    steps = max(1, min(p - 1, _BLOCK_CELLS // (h * width)))
+    empty = zero(ctx)
+    on_r = _reflected(table[lo - 1 : hi - 1], q)
+    on_comp = _reflected([table[q - r - 1] if r < q else empty for r in range(lo, hi)], q)
+    acc = np.zeros((2, h, width), np.int32)
+    acc[0, :, 1 : q + 1] = on_r[:, q + 1 :]
+    out = np.empty((steps, h, width), np.int32)
+    for k in range(1, p):
+        a = acc[k % 2]  # psi(V_{(k-2)q+r}), turned into psi(V_{kq+r})
+        base = offsets[k] * q
+        a[:, base - q : base + q + 1] += on_r
+        base = offsets[k - 1] * q
+        if base:
+            a[:, base - q : base + q + 1] += on_comp
+        else:
+            a[:, 1 : q + 1] += on_comp[:, q + 1 :]
+        j = (k - 1) % steps
+        out[j] = a
+        if j == steps - 1 or k == p - 1:
+            # column 0 collected the V_0 = 0 terms of spreads at offset 1
+            out[: j + 1, :, 0] = 0
+            values = _block_elements(ctx, out[: j + 1], units)
+            for i, kk in enumerate(range(k - j, k + 1)):
+                table[kk * q + lo - 1 : kk * q + hi - 1] = values[i * h : (i + 1) * h]
+
+
+def _reflected(values: list[GreenElement], q: int) -> np.ndarray:
+    """One int32 row of width 2q + 1 per value supported on V_1..V_q.
+
+    A term c V_t puts c at column q + t and -c at column q - t, so adding the
+    row at columns base - q .. base + q of an array indexed by V_t adds
+    spread(base, value): +c V_{base+t} - c V_{base-t}.
+    """
+    sizes = [len(v.terms) for v in values]
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(v.terms for v in values)),
+                       np.int64, 2 * sum(sizes))
+    at, t, c = np.repeat(np.arange(len(values)), sizes), flat[0::2], flat[1::2]
+    out = np.zeros((len(values), 2 * q + 1), np.int32)
+    out[at, q + t] = c
+    out[at, q - t] = -c
+    return out
+
+
+def _block_elements(ctx: RingContext, block: np.ndarray, units: list) -> list[GreenElement]:
+    """The elements whose multiplicities are the rows of block, column t for V_t.
+
+    block is C-contiguous, of any number of dimensions, each of its rows of
+    the last axis one element, and column 0 is zero.  Terms of multiplicity
+    +-1 are the shared pairs of units (see core._unit_terms).
+    """
+    width = block.shape[-1]
+    flat = block.reshape(-1)
+    # flat positions of a bool mask: numpy's nonzero is much slower on 2-D or int input
+    at = np.flatnonzero(flat != 0)
+    coef = flat[at]
+    cols = at % width
+    terms = list(map(units.__getitem__, (2 * cols + (coef < 0)).tolist()))
+    for i in np.flatnonzero(np.abs(coef) > 1).tolist():
+        terms[i] = (int(cols[i]), int(coef[i]))
+    terms = tuple(terms)
+    ends = np.searchsorted(at, np.arange(width, flat.size + 1, width)).tolist()
+    return [GreenElement._from_terms(ctx, terms[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def adams(ctx: RingContext, n: int, w: GreenElement, fold: bool = True) -> GreenElement:

@@ -19,12 +19,14 @@ import argparse
 import functools
 import json
 import sys
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .adams import adams
+from .adams import adams, adams_table
 from .core import (
     GreenElement,
     RingContext,
+    _expression,
+    _term_text,
     basis_element,
     dim,
     format_element,
@@ -158,8 +160,7 @@ def _cmd_power(args: argparse.Namespace, kind: str) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     ctx = _context(args)
     _check_adams_exponent(ctx, args.n)
-    values = [adams(ctx, args.n, basis_element(ctx, s)) for s in range(1, ctx.order + 1)]
-    chunks = _table_chunks(ctx, args.n, values, args.format)
+    chunks = _table_chunks(ctx, args.n, adams_table(ctx, args.n), args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -172,18 +173,37 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+class _TermText(dict):
+    """The text of each distinct term, made on its first lookup."""
+
+    def __init__(self, make: Callable[[tuple[int, int]], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, term: tuple[int, int]) -> str:
+        text = self[term] = self.make(term)
+        return text
+
+
 def _table_chunks(ctx: RingContext, n: int, values: list[GreenElement], fmt: str) -> Iterator[str]:
-    """The table's text a row at a time, so the whole of it is never built twice."""
+    """The table's text a row at a time, so the whole of it is never built twice.
+
+    Rows are the CSV lines of format_element or the compact json.dumps of
+    {"p", "nu", "n", "rows": [...]}; the text of each distinct term is made
+    once per table, keyed by its (shared) term tuple.
+    """
     if fmt == "csv":
+        text = _TermText(_term_text)
         yield "s,dim,expression\n"
         for s, v in enumerate(values, 1):
-            yield f"{s},{dim(v)},{format_element(v)}\n"
+            yield f"{s},{dim(v)},{_expression(map(text.__getitem__, reversed(v.terms)))}\n"
         return
-    # the compact json.dumps of {"p", "nu", "n", "rows": [...]}, row by row
+    text = _TermText(lambda term: f'"{term[0]}":{term[1]}')
+    head = f'"element":{{"p":{ctx.p},"nu":{ctx.nu},"coeffs":{{'
     yield f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":['
     for s, v in enumerate(values, 1):
-        row = {"s": s, "dim": dim(v), "element": to_dict(v)}
-        yield ("," if s > 1 else "") + json.dumps(row, separators=(",", ":"))
+        coeffs = ",".join(map(text.__getitem__, v.terms))
+        yield f'{"," if s > 1 else ""}{{"s":{s},"dim":{dim(v)},{head}{coeffs}}}}}}}'
     yield "]}\n"
 
 

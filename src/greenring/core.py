@@ -13,6 +13,7 @@ form (see basis_product); no matrices are involved.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from bisect import bisect_left
@@ -112,6 +113,20 @@ def _terms(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple([units.setdefault(t, t) if t[1] in (1, -1) else t for t in pairs if t[1]])
 
 
+@functools.cache
+def _unit_terms(order: int) -> list[tuple[int, int]]:
+    """The shared unit pairs up to V_order: (t, 1) at entry 2t and (t, -1) at 2t + 1.
+
+    Entries 0 and 1 stand for V_0 and are None.
+    """
+    units = _UNIT_TERMS
+    out: list = [None, None]
+    for t in range(1, order + 1):
+        out.append(units.setdefault((t, 1), (t, 1)))
+        out.append(units.setdefault((t, -1), (t, -1)))
+    return out
+
+
 class GreenElement:
     """A virtual module: integer multiplicities over the basis V_1..V_q.
 
@@ -140,9 +155,14 @@ class GreenElement:
         Every key must already lie in 1..q: callers accumulate normalized
         indices, so no range check is made here.
         """
+        return cls._from_terms(ctx, _terms(sorted(acc.items())))
+
+    @classmethod
+    def _from_terms(cls, ctx: RingContext, terms: tuple[tuple[int, int], ...]) -> "GreenElement":
+        """The element with these terms, taken as they are: nonzero, ascending, in 1..q."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "ctx", ctx)
-        object.__setattr__(obj, "terms", _terms(sorted(acc.items())))
+        object.__setattr__(obj, "terms", terms)
         return obj
 
     def __setattr__(self, name: str, value) -> None:
@@ -471,13 +491,24 @@ def format_element(a: GreenElement) -> str:
     One pass: every term is written as "+ V5", "- 2V3", ..., and the leading
     "+ " or "- " becomes "" or "-" after the join.
     """
-    if not a.terms:
+    return _expression(map(_term_text, reversed(a.terms)))
+
+
+def _term_text(term: tuple[int, int]) -> str:
+    """One term as format_element writes it: "+ V5", "- V3", "+ 2V1" or "- 2V1"."""
+    r, c = term
+    if c == 1:
+        return f"+ V{r}"
+    if c == -1:
+        return f"- V{r}"
+    return f"+ {c}V{r}" if c > 0 else f"- {-c}V{r}"
+
+
+def _expression(pieces: Iterable[str]) -> str:
+    """The _term_text pieces of an element, highest index first, as one expression."""
+    text = " ".join(pieces)
+    if not text:
         return "0"
-    text = " ".join([
-        f"+ V{r}" if c == 1 else f"- V{r}" if c == -1
-        else f"+ {c}V{r}" if c > 0 else f"- {-c}V{r}"
-        for r, c in reversed(a.terms)
-    ])
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 

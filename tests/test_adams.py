@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from greenring import (
     adams,
     adams_basis,
     adams_on_generator,
+    adams_table,
     basis_element,
     clear_cache,
     congruent_mod_regular,
@@ -27,7 +31,8 @@ from greenring import (
     spread,
     zero,
 )
-from greenring.adams import signs_alternate
+from greenring.adams import _block_elements, signs_alternate
+from greenring.core import _unit_terms
 
 CTX7 = RingContext(7, 2)
 CTX3 = RingContext(3, 2)
@@ -147,11 +152,16 @@ class TestRecursionMatchesSpreadRoute:
     @pytest.mark.parametrize("p,nu", [(3, 3), (5, 2), (7, 2), (2, 5)])
     def test_folded_exponents(self, p, nu):
         ctx = RingContext(p, nu)
-        clear_cache(ctx)
         memo = {}
         for n in range(1, p):
+            # each route from an empty memo, so neither reads the other's values
+            clear_cache(ctx)
+            table = adams_table(ctx, n)
+            clear_cache(ctx)
             for s in range(1, ctx.order + 1):
-                assert adams_basis(ctx, n, s) == reference_adams_basis(ctx, n, s, memo), (n, s)
+                want = reference_adams_basis(ctx, n, s, memo)
+                assert adams_basis(ctx, n, s) == want, (n, s)
+                assert table[s - 1] == want, (n, s)
 
     @pytest.mark.parametrize("p,nu", [(3, 3), (5, 2), (7, 2), (2, 5)])
     def test_raw_exponents(self, p, nu):
@@ -166,6 +176,33 @@ class TestRecursionMatchesSpreadRoute:
             for s in range(1, ctx.order + 1):
                 got = adams_basis(ctx, n, s, fold=False)
                 assert got == reference_adams_basis(ctx, n, s, memo), (n, s)
+
+
+@pytest.mark.parametrize("p, nu, n", [(2, 10, 1), (3, 6, 2), (5, 4, 2), (31, 2, 11), (1021, 1, 5)])
+def test_table_temporaries_stay_small(p, nu, n):
+    # what a table allocates beyond the values it keeps: its blocked int32
+    # working arrays and the terms of one read-out at a time
+    ctx = RingContext(p, nu)
+    clear_cache(ctx)
+    tracemalloc.start()
+    try:
+        adams_table(ctx, n)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 1 << 20, (peak - retained) / (1 << 20)
+
+
+def test_table_readout_keeps_wide_multiplicities():
+    # Adams values have multiplicities +-1 only, so the table never meets
+    # another; the read-out must still keep any int32 multiplicity
+    ctx = RingContext(5, 2)
+    block = np.array([[[0, 1, -1, 0, 2, 0, -3], [0, 0, 0, 0, 0, 0, 0]],
+                      [[0, 0, 7, 0, 0, 0, 1], [0, -1, 0, 0, 0, 0, 0]]], np.int32)
+    got = _block_elements(ctx, block, _unit_terms(ctx.order))
+    assert [v.terms for v in got] == [
+        ((1, 1), (2, -1), (4, 2), (6, -3)), (), ((2, 7), (6, 1)), ((1, -1),)]
+    assert got[0].terms[0] is _unit_terms(ctx.order)[2]
 
 
 class TestAdamsWorkedValues:
@@ -240,6 +277,10 @@ class TestExponentLaws:
             adams_basis(CTX7, 7, 3)
         with pytest.raises(DivisibilityError):
             adams(CTX3, 6, one(CTX3))
+        with pytest.raises(DivisibilityError):
+            adams_table(CTX7, 14)
+        with pytest.raises(DivisibilityError):
+            adams_table(CTX7, 0)
 
 
 class TestRingMapProperties:

@@ -1,4 +1,4 @@
-"""The per-metric verdict of tools/bench_pair.py on made-up seed pairs."""
+"""The per-metric record of tools/bench_pair.py on made-up seed pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +37,27 @@ def test_verdict(metric, parent, change, expected):
 def test_no_gain_with_more_failed_ops():
     assert bench_pair.verdict(WALL, STEADY, [0.6] * 10, 0, 0) == "better"
     assert bench_pair.verdict(WALL, STEADY, [0.6] * 10, 0, 1) == "unchanged"
+
+
+def _runs(parent, change):
+    def side(v):
+        return {"metrics": {"wall_s": {"value": v}}, "failed": 0, "attempted": 10,
+                "digest": "d", "correct": True, "exit_code": 0}
+    return [{"parent": side(p), "change": side(c)} for p, c in zip(parent, change)]
+
+
+def test_pair_ratio_quartiles_show_the_paired_effect():
+    # seeds twofold apart in cost: the change is 40 % faster in every pair, yet
+    # its median sits inside the parent's quartiles across seeds
+    parent = [1.0, 2.0] * 5
+    change = [0.6 * v for v in parent]
+    entry = bench_pair.summarize([WALL], _runs(parent, change), list(range(1, 11)))
+    assert entry["pair_ratio_quartiles"]["wall_s"] == [0.6, 0.6, 0.6]
+    assert entry["parent"]["wall_s_quartiles"] == [1.0, 2.0]
+    assert entry["change_better_pairs"]["wall_s"] == "10/10"
+    assert entry["verdict"]["wall_s"] == "unresolved"  # the verdict still reads the seeds
+
+
+def test_pair_ratio_quartiles_skip_zero_parents():
+    assert bench_pair.pair_ratio_quartiles([0.0, 2.0, 4.0], [1.0, 1.0, 3.0]) == [0.5625, 0.625, 0.6875]
+    assert bench_pair.pair_ratio_quartiles([0.0], [1.0]) is None

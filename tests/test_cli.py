@@ -8,12 +8,16 @@ import pytest
 
 from greenring import (
     RingContext,
+    adams,
     adams_basis,
     basis_element,
+    clear_cache,
     dim,
+    format_element,
     from_dict,
     multiply,
     parse_element,
+    to_dict,
 )
 from greenring.cli import _build_parser, main
 
@@ -21,6 +25,18 @@ WORKED_23 = (
     "V49 - V47 + V45 - V39 + V37 - V35 + V33 - V31 + V25"
     " - V23 + V19 - V17 + V11 - V9 + V7 - V5 + V3"
 )
+
+
+def reference_table_text(ctx, n, fmt):
+    """The table as it was written from per-value results: format_element
+    per CSV row, json.dumps per JSON row."""
+    values = [adams(ctx, n, basis_element(ctx, s)) for s in range(1, ctx.order + 1)]
+    if fmt == "csv":
+        return "s,dim,expression\n" + "".join(
+            f"{s},{dim(v)},{format_element(v)}\n" for s, v in enumerate(values, 1))
+    rows = [json.dumps({"s": s, "dim": dim(v), "element": to_dict(v)}, separators=(",", ":"))
+            for s, v in enumerate(values, 1)]
+    return f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":[' + ",".join(rows) + "]}\n"
 
 
 def run_cli(args):
@@ -198,6 +214,18 @@ class TestTableCommand:
         assert main(["table", *args]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("p, nu, n", [
+        (31, 2, 11), (1021, 1, 5), (2, 10, 3), (3, 6, 2), (5, 4, 3), (3, 1, 2), (2, 1, 1),
+    ])
+    def test_bytes_match_per_value_reference(self, p, nu, n, fmt, capsys):
+        ctx = RingContext(p, nu)
+        clear_cache(ctx)
+        assert main(["table", "--p", str(p), "--nu", str(nu), "--n", str(n), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        clear_cache(ctx)  # the reference runs the per-value recursion afresh
+        assert out == reference_table_text(ctx, n, fmt)
 
 
 class TestVerifyCommand:

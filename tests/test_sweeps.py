@@ -17,7 +17,9 @@ from greenring import (
     RingContext,
     adams,
     adams_basis,
+    adams_table,
     basis_element,
+    clear_cache,
     dim,
     exterior_power,
     fold_exponent,
@@ -38,14 +40,25 @@ def _folded_exponent(ctx, rng):
             return n
 
 
-@pytest.mark.parametrize("p, nu", [(1021, 1), (31, 2)])
+@pytest.mark.parametrize("p, nu", [(1021, 1), (31, 2), (2, 10), (3, 6), (5, 4)])
 def test_whole_table_shape_and_dimension(p, nu):
     ctx = RingContext(p, nu)
     n = _folded_exponent(ctx, random.Random(SEED + p))
+    # the per-value recursion and the level-by-level table, each from an
+    # empty memo but for one value, which the table must hand back as it is;
+    # the table's values are then the memoized ones
+    clear_cache(ctx)
+    by_value = [adams_basis(ctx, n, s) for s in range(1, ctx.order + 1)]
+    clear_cache(ctx)
+    kept = adams_basis(ctx, n, ctx.order // 2)
+    table = adams_table(ctx, n)
+    assert table[ctx.order // 2 - 1] is kept
     bad = []
     for s in range(1, ctx.order + 1):
         verdict = shape_check(ctx, n, s)
-        if not verdict.ok or dim(adams_basis(ctx, n, s)) != s:
+        value = table[s - 1]
+        if (not verdict.ok or dim(value) != s or value != by_value[s - 1]
+                or value is not adams_basis(ctx, n, s)):
             bad.append((s, verdict.violated))
     assert not bad, (n, bad[:5])
 

@@ -15,7 +15,8 @@ for the run_seconds of BENCHMARK.json, back to back, the parent first on odd
 seeds and the change first on even ones.  The file records, per workload,
 the median and quartiles (linear interpolation) of every end-to-end metric
 on each side, every run's values, in how many seed pairs the change was
-better, a verdict per metric (see `verdict`), whether the output digests
+better, the quartiles of the change/parent ratio within each seed pair (see
+`pair_ratio_quartiles`), a verdict per metric (see `verdict`), whether the output digests
 agree, and whether seed 0 matches `perfbench/baseline.json`; then the
 medians of the per-layer metrics from `--trace 1` runs of --trace-seeds,
 and the machine (nproc, Python and numpy versions).  Only the standard
@@ -104,6 +105,21 @@ def pair_wins(metric: dict, parent: list[float], change: list[float]) -> int:
     return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
 
 
+def pair_ratio_quartiles(parent: list[float], change: list[float]) -> list[float] | None:
+    """[q1, median, q3] of change/parent within each seed pair with a nonzero parent.
+
+    The seeds of one workload can differ twofold in cost, which widens each
+    side's quartiles across seeds; a ratio within one pair cancels the seed's
+    own cost, so these quartiles show the paired effect.  None when every
+    parent value is 0.
+    """
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    if not ratios:
+        return None
+    q1, q3 = quartiles(ratios)
+    return [q1, round(statistics.median(ratios), 4), q3]
+
+
 def verdict(metric: dict, parent: list[float], change: list[float],
             parent_failed: int = 0, change_failed: int = 0) -> str:
     """better, worse, unresolved or unchanged, for one metric over seed pairs.
@@ -151,6 +167,8 @@ def summarize(metrics: list[dict], runs: list[dict[str, dict]], seeds: list[int]
     out["change_better_pairs"] = {
         m["name"]: f"{pair_wins(m, parent[m['name']], change[m['name']])}/{len(runs)}"
         for m in metrics}
+    out["pair_ratio_quartiles"] = {
+        m["name"]: pair_ratio_quartiles(parent[m["name"]], change[m["name"]]) for m in metrics}
     out["verdict"] = {
         m["name"]: verdict(m, parent[m["name"]], change[m["name"]],
                            out["parent"]["failed_ops"], out["change"]["failed_ops"])
@@ -198,7 +216,9 @@ def main(argv: list[str] | None = None) -> int:
                    "first on odd seeds and the change first on even seeds; medians and "
                    "quartiles (linear interpolation) over the seeds listed; times are CPU "
                    "seconds; change_better_pairs counts the seed pairs in which the change "
-                   "read better, ties counting for neither; verdict per metric as in "
+                   "read better, ties counting for neither; pair_ratio_quartiles are the "
+                   "quartiles and median of change/parent within each seed pair; verdict per "
+                   "metric as in "
                    "bench_pair.verdict; seed 0 ran once more with "
                    "--seconds 1 on both sides to check perfbench/baseline.json"),
         "end_to_end": {},
