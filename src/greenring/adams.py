@@ -42,6 +42,7 @@ from .core import (
     GreenElement,
     RingContext,
     _check_support,
+    _integer,
     _unit_terms,
     basis_element,
     multiply,
@@ -99,6 +100,7 @@ def spread(ctx: RingContext, m: int, i: int, w: GreenElement) -> GreenElement:
     Takes the subring spanned by V_1..V_{p^m} into the one spanned by
     V_1..V_{p^(m+1)}; offset 0 is the identity.  Costs O(support of w).
     """
+    m, i = _integer(m, "level"), _integer(i, "offset")
     if not 0 <= m <= ctx.nu - 1:
         raise IndexRangeError(f"level {m} outside 0..{ctx.nu - 1}")
     if not 0 <= i <= ctx.p - 1:
@@ -174,20 +176,24 @@ def adams_basis(ctx: RingContext, n: int, s: int, fold: bool = True) -> GreenEle
     make exact; fold=False runs the level recursion on the raw exponent, so
     those identities can be verified rather than assumed.
     """
-    _check_exponent(ctx, n)
+    n = _check_exponent(ctx, n)
+    s = _integer(s, "index")
     if not 1 <= s <= ctx.order:
         raise IndexRangeError(f"index {s} outside 1..{ctx.order}")
     n_eff = fold_exponent(ctx, n) if fold else n
     return _adams_basis(ctx, n_eff, s)
 
 
-def _check_exponent(ctx: RingContext, n: int) -> None:
+def _check_exponent(ctx: RingContext, n: int) -> int:
+    """n as an int, after checking that it is an integer >= 1 that p does not divide."""
+    n = _integer(n, "exponent")
     if n < 1:
         raise DivisibilityError(f"exponent must be >= 1, got {n}")
     if n % ctx.p == 0:
         raise DivisibilityError(
             f"exponent {n} divisible by p = {ctx.p} is not supported"
         )
+    return n
 
 
 # A block of r has as many rows as keep each working array near this many
@@ -207,8 +213,7 @@ def adams_table(ctx: RingContext, n: int) -> list[GreenElement]:
     dense int32 blocks of r, two slice additions per step k; multiplicities
     stay within q in magnitude, so int32 is exact.
     """
-    _check_exponent(ctx, n)
-    n = fold_exponent(ctx, n)
+    n = fold_exponent(ctx, _check_exponent(ctx, n))
     cache = _context_cache(ctx)
     memo = [cache.get((n, s)) for s in range(1, ctx.order + 1)]
     if all(v is not None for v in memo):

@@ -18,6 +18,7 @@ import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -43,6 +44,20 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers; a bool or a float is never truncated."""
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
+def _integer(x, what: str, error: type[ValueError] = IndexRangeError) -> int:
+    """x as an int, raising error when it is not a Python or numpy integer."""
+    if type(x) is int:
+        return x
+    if not _is_integer(x):
+        raise error(f"{what} {x!r} is not an integer")
+    return int(x)
 
 
 def env_cap(name: str, default: int) -> int:
@@ -73,6 +88,8 @@ class RingContext:
     order: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _integer(self.p, "p", ValueError))
+        object.__setattr__(self, "nu", _integer(self.nu, "nu", ValueError))
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.nu < 1:
@@ -140,7 +157,7 @@ class GreenElement:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingContext, coeffs: Iterable[int]):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(_integer(c, "multiplicity", ValueError) for c in coeffs)
         if len(coeffs) != ctx.order:
             raise ValueError(
                 f"expected {ctx.order} coefficients, got {len(coeffs)}"
@@ -178,7 +195,7 @@ class GreenElement:
         acc: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for r, c in items:
-            r, c = int(r), int(c)
+            r, c = _integer(r, "index"), _integer(c, "multiplicity", ValueError)
             if r == 0 or c == 0:
                 continue
             if r < 0:
@@ -387,6 +404,7 @@ def one(ctx: RingContext) -> GreenElement:
 
 def basis_element(ctx: RingContext, r: int) -> GreenElement:
     """V_r for r > 0, the zero element for r = 0, and -V_{|r|} for r < 0."""
+    r = _integer(r, "index")
     if abs(r) > ctx.order:
         raise IndexRangeError(f"index {r} outside -{ctx.order}..{ctx.order}")
     return GreenElement.from_terms(ctx, {r: 1} if r else {})
@@ -403,6 +421,7 @@ def scale(k: int, a: GreenElement) -> GreenElement:
 
 def ring_generator(ctx: RingContext, m: int) -> GreenElement:
     """The generator V_{p^m + 1} - V_{p^m - 1} of level m, 0 <= m <= nu-1."""
+    m = _integer(m, "generator level")
     if not 0 <= m <= ctx.nu - 1:
         raise IndexRangeError(f"generator level {m} outside 0..{ctx.nu - 1}")
     pm = ctx.p**m
@@ -411,6 +430,7 @@ def ring_generator(ctx: RingContext, m: int) -> GreenElement:
 
 def _check_support(ctx: RingContext, m: int, a: GreenElement) -> int:
     """p^m, after checking that a lies in the level-m subring V_1..V_{p^m}."""
+    m = _integer(m, "subring level")
     if not 0 <= m <= ctx.nu:
         raise IndexRangeError(f"subring level {m} outside 0..{ctx.nu}")
     pm = ctx.p**m
@@ -456,24 +476,18 @@ def to_dict(a: GreenElement) -> dict:
 _INDEX_KEY_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
-def _strict_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def from_dict(data: Mapping) -> GreenElement:
     """Inverse of to_dict, rejecting what to_dict never writes.
 
-    p, nu and the coefficients must be ints (not bools, floats or strings)
-    and the keys decimal strings without leading zeros or whitespace;
-    anything else raises ParseError instead of being coerced.
+    p, nu and the coefficients must be integers (not bools, floats or
+    strings) and the keys decimal strings without leading zeros or
+    whitespace; anything else raises ParseError instead of being coerced.
     """
     try:
         p, nu, items = data["p"], data["nu"], list(data["coeffs"].items())
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed element object: {exc}") from exc
-    ctx = RingContext(_strict_int(p, "p"), _strict_int(nu, "nu"))
+    ctx = RingContext(_integer(p, "p", ParseError), _integer(nu, "nu", ParseError))
     terms = {}
     for key, c in items:
         if not isinstance(key, str) or not _INDEX_KEY_RE.fullmatch(key):
@@ -481,7 +495,7 @@ def from_dict(data: Mapping) -> GreenElement:
         r = int(key)
         if not 1 <= r <= ctx.order:
             raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
-        terms[r] = _strict_int(c, f"coefficient of V{r}")
+        terms[r] = _integer(c, f"coefficient of V{r}", ParseError)
     return GreenElement.from_terms(ctx, terms)
 
 

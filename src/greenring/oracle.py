@@ -26,7 +26,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import gfp
-from .core import GreenElement, RingContext, env_cap
+from .core import GreenElement, RingContext, _is_integer, env_cap
 from .core import multiply  # noqa: F401  (greenring.oracle.multiply stays importable)
 from .errors import (
     IndexRangeError,
@@ -47,11 +47,6 @@ def _check_capacity(size: int) -> None:
     cap = oracle_cap()
     if size > cap:
         raise OracleCapacityError(f"induced dimension {size} exceeds cap {cap}")
-
-
-def _is_integer(x) -> bool:
-    """True for Python and numpy integers; a bool or a float is never truncated."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_index(ctx: RingContext, r, what: str = "index") -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adams import adams
-from .core import GreenElement, RingContext, multiply, one
+from .core import GreenElement, RingContext, _integer, multiply, one
 from .errors import GreenRingError, IndexRangeError
 
 
@@ -48,6 +48,7 @@ def _exact_divide(ctx: RingContext, acc: dict[int, int], i: int) -> GreenElement
 
 
 def _power_sequence(ctx: RingContext, n: int, w: GreenElement, alternating: bool) -> PowerSequence:
+    n = _integer(n, "degree")
     if not 1 <= n <= ctx.p - 1:
         raise IndexRangeError(f"degree {n} outside 1..{ctx.p - 1}")
     psis = [None] + [adams(ctx, j, w) for j in range(1, n + 1)]

@@ -29,9 +29,10 @@ from greenring import (
     ring_generator,
     shape_check,
     spread,
+    to_dict,
     zero,
 )
-from greenring.adams import _block_elements, signs_alternate
+from greenring.adams import _block_elements, _context_cache, signs_alternate
 from greenring.core import _unit_terms
 
 CTX7 = RingContext(7, 2)
@@ -88,6 +89,12 @@ class TestSpread:
 
     def test_level_one(self):
         assert spread(CTX3, 1, 2, basis_element(CTX3, 2)) == parse_element(CTX3, "V8-V4")
+
+    @pytest.mark.parametrize("m, i", [(True, 1), (1, 1.0), (0.0, 2)])
+    def test_rejects_non_integer_level_or_offset(self, m, i):
+        # spread(ctx, True, 1.0, V2) was V5.0 - V1.0
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            spread(CTX3, m, i, basis_element(CTX3, 2))
 
     def test_boundary_cancellation(self):
         # V_{ip^m - r} vanishes when r = p^m and i = 1: the V_0 term drops
@@ -415,6 +422,39 @@ class TestCache:
         assert adams(CTX7, 4, basis_element(CTX7, 23)) is value
         assert adams(CTX7, 4, 2 * basis_element(CTX7, 23)) == 2 * value
         assert adams(CTX7, 4, -basis_element(CTX7, 23)) == -value
+
+    def test_float_exponent_never_memoized(self):
+        # adams_basis(ctx, 2.0, 12) memoized V21.0 - V17.0 + ... under the key
+        # of n = 2, so a later adams(ctx, 2, V12) printed float indices and
+        # to_dict wrote the key "1.0"
+        clear_cache(CTX7)
+        with pytest.raises(IndexRangeError):
+            adams_basis(CTX7, 2.0, 12)
+        value = adams(CTX7, 2, basis_element(CTX7, 12))
+        assert all(type(r) is int for r, _ in value.terms)
+        assert format_element(value) == format_element(adams_basis(CTX7, 2, 12))
+        assert "1" in to_dict(value)["coeffs"] and "1.0" not in to_dict(value)["coeffs"]
+
+    @pytest.mark.parametrize("n, s", [(2.0, 12), (True, 12), (2, 12.0), (2, True), ("2", 12)])
+    def test_non_integer_arguments_rejected(self, n, s):
+        clear_cache(CTX7)
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            adams_basis(CTX7, n, s)
+        assert not _context_cache(CTX7)
+
+    @pytest.mark.parametrize("n", [2.0, True, 3.5])
+    def test_table_rejects_non_integer_exponent(self, n):
+        clear_cache(CTX7)
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            adams_table(CTX7, n)
+        assert not _context_cache(CTX7)
+
+    def test_numpy_integers_memoized_as_ints(self):
+        clear_cache(CTX7)
+        value = adams_basis(CTX7, np.int64(2), np.int64(12))
+        assert value == adams_basis(CTX7, 2, 12)
+        assert all(type(n) is int and type(s) is int for n, s in _context_cache(CTX7))
+        assert adams_table(CTX7, np.int32(3))[11] == adams_basis(CTX7, 3, 12)
 
 
 class TestShapeCheck:

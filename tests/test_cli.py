@@ -18,7 +18,10 @@ from greenring import (
     multiply,
     parse_element,
     to_dict,
+    zero,
 )
+from greenring import suites
+from greenring.adams import ShapeClause, ShapeVerdict
 from greenring.cli import _build_parser, main
 
 WORKED_23 = (
@@ -256,6 +259,61 @@ class TestVerifyCommand:
         assert main(["verify", "--p", "7", "--nu", "2", "--suite", "reciprocity"]) == 0
         out = capsys.readouterr().out
         assert "RESULT: PASS" in out
+
+    def test_failing_cases_are_counted_and_named(self, monkeypatch, capsys):
+        # two planted dimension failures and one planted shape failure: each
+        # line counts its failing cases and names the first one in sweep order
+        real_adams_basis = suites.adams_basis
+        real_shape_check = suites.shape_check
+
+        def adams_basis(c, n, s, fold=True):
+            if (n, s) in ((2, 5), (4, 1)):
+                return zero(c)
+            return real_adams_basis(c, n, s, fold=fold)
+
+        def shape_check(c, n, s):
+            verdict = real_shape_check(c, n, s)
+            if (n, s) == (4, 7):
+                return ShapeVerdict(False, ShapeClause.PARITY, verdict.element)
+            return verdict
+
+        monkeypatch.setattr(suites, "adams_basis", adams_basis)
+        monkeypatch.setattr(suites, "shape_check", shape_check)
+        assert main(["verify", "--p", "3", "--nu", "2", "--suite", "dimension"]) == 1
+        assert capsys.readouterr().out == (
+            "[dimension] dimension preserved on basis: 34/36 pass;"
+            " first counterexample: n=2, s=5\n"
+            "RESULT: FAIL\n"
+        )
+        assert main(["verify", "--p", "3", "--nu", "2", "--suite", "shape"]) == 1
+        assert capsys.readouterr().out == (
+            "[shape] alternating shape: 53/54 (n,s) pairs pass;"
+            " first: n=4, s=7, clause=parity\n"
+            "RESULT: FAIL\n"
+        )
+        assert main(["verify", "--p", "3", "--nu", "2", "--suite", "all"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("[dimension] dimension preserved on basis: 34/36 pass;")
+        assert out[-1] == "RESULT: FAIL"
+
+    @pytest.mark.parametrize(
+        "p, nu, digest",
+        [
+            (2, 1, "dd803b98c47e4034822e700a9d7aa6d02d49a14aad988ccdb25e76622afd356b"),
+            (3, 2, "2e4a39e4e3d20cdd2345bcf619a6da07ecbdcb73fc223ff97272aac111c27514"),
+            (2, 4, "7baa60f8f0dce754180386480833238f0fffb6433af5d5ab0235660a3f2e9d07"),
+            (5, 2, "7cc7aed4c046ef8b1dd8d4531fc6fb0974068ec6e6ca5dbb0916d8e3db5f8ff4"),
+            (3, 3, "6fe2d8a51a58442f94e3826a9cbb433fdefc47e3111c970970cfbb93e644a11b"),
+            (7, 2, "21bf4c61090961959f747cffe25e9be7ac10294ddf5c72c314e56180309207a5"),
+        ],
+    )
+    def test_golden_digest(self, p, nu, digest, capsys):
+        # SHA-256 of `verify --suite all` stdout as printed when every clause
+        # kept its own pass/fail counters; a change to how clauses are run,
+        # counted or rendered must not move a single byte
+        assert main(["verify", "--p", str(p), "--nu", str(nu), "--suite", "all"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestVerifyAllContexts:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -74,6 +75,19 @@ class TestRingContext:
         ctx = RingContext(3, 3)
         assert [ctx.level(s) for s in (1, 2, 3, 4, 9, 10, 27)] == [0, 1, 1, 2, 2, 3, 3]
 
+    # p and nu are integers or rejected, never coerced: RingContext(3.0, 2)
+    # had order 9.0, RingContext(7, 2.0) raised a bare TypeError and
+    # RingContext(3, True) was the ring of order 3
+    @pytest.mark.parametrize("p, nu", [(3.0, 2), (7, 2.0), (3, True), (True, 1), ("3", 2)])
+    def test_rejects_non_integer_p_or_nu(self, p, nu):
+        with pytest.raises(ValueError, match="is not an integer"):
+            RingContext(p, nu)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        ctx = RingContext(np.int64(3), np.int32(2))
+        assert ctx == RingContext(3, 2)
+        assert type(ctx.p) is int and type(ctx.nu) is int and type(ctx.order) is int
+
 
 class TestBasisElement:
     def test_positive_index(self):
@@ -92,6 +106,38 @@ class TestBasisElement:
             basis_element(CTX, 10)
         with pytest.raises(IndexRangeError):
             basis_element(CTX, -10)
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_index(self, r):
+        # basis_element(ctx, 2.5) was V2
+        with pytest.raises(IndexRangeError):
+            basis_element(CTX, r)
+
+    def test_numpy_index_accepted(self):
+        e = basis_element(CTX, np.int64(2))
+        assert e == basis_element(CTX, 2) and type(e.terms[0][0]) is int
+
+    @pytest.mark.parametrize("terms", [{3: 1.7}, {3.0: 1}, {True: 1}, [(3, False)], {2.5: 1}])
+    def test_from_terms_rejects_non_integers(self, terms):
+        # from_terms({3: 1.7}) was V3
+        with pytest.raises(ValueError, match="is not an integer"):
+            GreenElement.from_terms(CTX, terms)
+
+    def test_from_terms_accepts_numpy_integers(self):
+        e = GreenElement.from_terms(CTX, {np.int64(3): np.int32(2)})
+        assert e == 2 * basis_element(CTX, 3)
+        assert e.terms == ((3, 2),) and all(type(v) is int for v in e.terms[0])
+
+    @pytest.mark.parametrize("bad", [1.5, True, 1.0, None])
+    def test_dense_constructor_rejects_non_integers(self, bad):
+        # GreenElement(ctx, [1.5, 0, ...]) was V1
+        with pytest.raises(ValueError, match="is not an integer"):
+            GreenElement(CTX, [bad] + [0] * (CTX.order - 1))
+
+    def test_dense_constructor_accepts_numpy_integers(self):
+        coeffs = np.zeros(CTX.order, dtype=np.int64)
+        coeffs[0] = 2
+        assert GreenElement(CTX, coeffs) == 2 * basis_element(CTX, 1)
 
 
 class TestArithmetic:
@@ -190,10 +236,24 @@ class TestRingGenerator:
         with pytest.raises(IndexRangeError):
             ring_generator(CTX, -1)
 
+    @pytest.mark.parametrize("m", [True, 1.0])
+    def test_rejects_non_integer_level(self, m):
+        # ring_generator(ctx, True) was the level-1 generator V4 - V2
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            ring_generator(CTX, m)
+
 
 class TestHeller:
     def test_basis(self):
         assert heller(2, basis_element(CTX, 2)) == basis_element(CTX, 7)
+
+    @pytest.mark.parametrize("m", [True, 1.0])
+    def test_rejects_non_integer_level(self, m):
+        # heller(True, V3) was the level-1 translate, 0
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            heller(m, basis_element(CTX, 3))
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            congruent_mod_regular(m, basis_element(CTX, 3), zero(CTX))
 
     def test_regular_to_zero(self):
         assert heller(2, basis_element(CTX, 9)).is_zero()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +49,17 @@ class TestExteriorPower:
             exterior_power(CTX5, 5, basis_element(CTX5, 2))
         with pytest.raises(IndexRangeError):
             exterior_power(CTX5, 0, basis_element(CTX5, 2))
+
+    @pytest.mark.parametrize("power", [exterior_power, symmetric_power])
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5])
+    def test_non_integer_degree_rejected(self, power, n):
+        # exterior_power(ctx, True, V3) was V3
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            power(CTX5, n, basis_element(CTX5, 3))
+
+    def test_numpy_degree_accepted(self):
+        w = basis_element(CTX5, 3)
+        assert exterior_power(CTX5, np.int64(2), w) == exterior_power(CTX5, 2, w)
 
     def test_sequence_starts_at_identity(self):
         seq = exterior_sequence(CTX5, 3, basis_element(CTX5, 4))

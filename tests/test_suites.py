@@ -1,6 +1,7 @@
 import pytest
 
-from greenring import RingContext
+from greenring import GreenElement, RingContext, basis_element, format_element
+from greenring import suites
 from greenring.suites import SUITE_NAMES, NotApplicableError, run_suite
 
 
@@ -37,3 +38,36 @@ class TestRunSuite:
         first = [tuple(r.lines) for r in run_suite(ctx32, "homomorphism")]
         second = [tuple(r.lines) for r in run_suite(ctx32, "homomorphism")]
         assert first == second
+
+
+class TestClauseCounting:
+    def test_triple_failing_two_checks_counts_once(self, ctx32, monkeypatch):
+        # the first random triple of the oracle suite is replaced by one whose
+        # left factor multiplies wrongly: it breaks commutativity and the unit
+        # law, and is still one failing case out of 25, named once
+        planted = GreenElement.from_terms(ctx32, {2: 1, 1: -1})
+        drawn = []
+        real_random_element = suites._random_element
+        real_multiply = suites.multiply
+
+        def random_element(ctx, rng, max_index, terms=3):
+            value = real_random_element(ctx, rng, max_index, terms)
+            drawn.append(value)
+            return planted if len(drawn) == 1 else value
+
+        def multiply(x, y):
+            product = real_multiply(x, y)
+            return product + basis_element(x.ctx, 1) if x is planted else product
+
+        monkeypatch.setattr(suites, "_random_element", random_element)
+        monkeypatch.setattr(suites, "multiply", multiply)
+        (report,) = run_suite(ctx32, "oracle")
+        assert not report.ok
+        label = "commutative, associative, unital on random triples"
+        (line,) = [ln for ln in report.lines if ln.startswith(label)]
+        b, c = (format_element(v) for v in drawn[1:3])
+        assert line == (
+            f"{label}: 24/25 pass; first counterexample: a=V2 - V1, b={b}, c={c}"
+        )
+        # every other clause still passes
+        assert sum("first counterexample" in ln for ln in report.lines) == 1
