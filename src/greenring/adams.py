@@ -84,6 +84,7 @@ def fold_exponent(ctx: RingContext, c: int) -> int:
     The representative is unique; 0 folds to 0, and exponents divisible by p
     (other than 0) are rejected.
     """
+    c = _integer(c, "exponent")
     if c < 0:
         raise DivisibilityError(f"exponent must be non-negative, got {c}")
     if c == 0:

@@ -51,7 +51,7 @@ def _is_integer(x) -> bool:
     return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
 
 
-def _integer(x, what: str, error: type[ValueError] = IndexRangeError) -> int:
+def _integer(x, what: str, error: type[Exception] = IndexRangeError) -> int:
     """x as an int, raising error when it is not a Python or numpy integer."""
     if type(x) is int:
         return x
@@ -105,6 +105,7 @@ class RingContext:
 
     def level(self, s: int) -> int:
         """Smallest m >= 0 with s <= p^m, for 1 <= s <= p^nu."""
+        s = _integer(s, "index")
         if not 1 <= s <= self.order:
             raise IndexRangeError(f"index {s} outside 1..{self.order}")
         m, pm = 0, 1
@@ -214,6 +215,7 @@ class GreenElement:
         return tuple(out)
 
     def coeff(self, r: int) -> int:
+        r = _integer(r, "index")
         if not 1 <= r <= self.ctx.order:
             raise IndexRangeError(f"index {r} outside 1..{self.ctx.order}")
         i = bisect_left(self.terms, (r,))
@@ -261,14 +263,16 @@ class GreenElement:
         return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GreenElement._from_dict(self.ctx, {r: other * c for r, c in self.terms})
         if isinstance(other, GreenElement):
             return multiply(self, other)
+        if isinstance(other, Integral):
+            # a bool is Integral too, and is refused here, as a float is
+            k = _integer(other, "scalar", TypeError)
+            return GreenElement._from_dict(self.ctx, {r: k * c for r, c in self.terms})
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, Integral):
             return self.__mul__(other)
         return NotImplemented
 

@@ -1,11 +1,15 @@
-"""Exact linear algebra over GF(p) on numpy int64 arrays.
+"""Exact linear algebra over GF(p) on numpy integer arrays of the narrowest exact dtype.
 
 Everything here is integer arithmetic; no floating point is used anywhere.
 Factors are reduced mod p before they are multiplied, so each product adds
 at most (p-1)^2 in magnitude: a d-term dot product, or d rank-1 updates of
-one entry, stays within d*(p-1)^2 of its start, far inside int64 for every
-prime and dimension the ring contexts and the oracle cap admit.  Other
-values are reduced exactly where a zero test or an inverse needs them.
+one entry, stays within d*(p-1)^2 of its start.  So an array of residues is
+held in min_scalar_type(p - 1) (uint8 for p <= 251), and the working copy of
+pivot_rows in the narrowest signed dtype holding min(rows, cols)*(p-1)^2 + p
+(elimination_dtype: int16 up to 909 columns at p = 7, int32 up to 2064
+columns at p = 1021, int64 only for large p*d).  column_basis and the powers
+of a non-nilpotent N stay int64.  Other values are reduced exactly where a
+zero test or an inverse needs them.
 
 The oracle decomposes a unipotent matrix from the rank profile of its
 displacement N, read off one Krylov elimination: unit vectors on the rows of
@@ -42,7 +46,33 @@ def jordan_block(r: int) -> np.ndarray:
 
 
 def kron_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.kron(a, b) % p
+    """The Kronecker product of a and b, reduced mod p in place."""
+    out = np.kron(a, b)
+    out %= p
+    return out
+
+
+def reduced(m, p: int, dtype) -> np.ndarray:
+    """m mod p as a new C-ordered array of the given dtype.
+
+    The remainder is taken in a type that holds both m's entries and p, so no
+    int64 or uint64 extreme wraps and no narrow input overflows on p; it is
+    cast to dtype a buffer at a time, with no full-size temporary.
+    """
+    m = np.asarray(m)
+    wide = np.promote_types(m.dtype, np.min_scalar_type(p))
+    out = np.empty(m.shape, dtype=dtype)
+    return np.remainder(m, wide.type(p), out=out, casting="unsafe")
+
+
+def elimination_dtype(rows: int, cols: int, p: int) -> np.dtype:
+    """The narrowest signed dtype holding min(rows, cols)*(p-1)^2 + p.
+
+    A forward elimination of a rows x cols matrix makes at most
+    min(rows, cols) rank-1 updates of each entry, each of at most (p-1)^2,
+    before the entry's row is reduced; the entries start in 0..p-1.
+    """
+    return np.min_scalar_type(-(min(rows, cols) * (p - 1) ** 2 + p))
 
 
 def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -125,7 +155,10 @@ def pivot_rows(m: np.ndarray, p: int) -> list[int]:
     """Row rank profile of m over GF(p): the rows independent of the rows above.
 
     These are the pivots of column_basis(m, p), found by forward elimination
-    alone, on a private C-ordered int64 copy: no basis, no column bookkeeping.
+    alone, on a private C-ordered copy of m mod p: no basis, no column
+    bookkeeping.  The copy has the dtype elimination_dtype gives: int16 for
+    every matrix of d <= 909 at p = 7, so the Krylov stack, the largest
+    working array of a decomposition, takes 2 bytes an entry rather than 8.
     Row i is reduced mod p when it is reached, and its pivot is its first
     nonzero column; that column is cleared in the rows below i, so when row i
     is reached it is zero in every earlier pivot column, and it is zero as a
@@ -136,11 +169,13 @@ def pivot_rows(m: np.ndarray, p: int) -> list[int]:
     pivot of an n-column m.
 
     Factors are reduced before they multiply, so each update changes an entry
-    by at most (p-1)^2, d*(p-1)^2 in all before its row is reached; a row
-    with a multiple of p left in the pivot column takes a zero update.
+    by at most (p-1)^2, min(d, n)*(p-1)^2 in all before its row is reached; a
+    row with a multiple of p left in the pivot column takes a zero update.
+    The multiplier is formed in int64, since a narrow array times a Python
+    int keeps the narrow dtype, and cast back once reduced.
     """
-    a = np.array(m, dtype=np.int64, order="C")
-    d, n = a.shape
+    d, n = np.shape(m)
+    a = reduced(m, p, elimination_dtype(d, n, p))
     pivots: list[int] = []
     for i in range(d):
         row = a[i]
@@ -155,7 +190,8 @@ def pivot_rows(m: np.ndarray, p: int) -> list[int]:
         below = a[i + 1 :, j]
         rows = below.nonzero()[0]
         if len(rows):
-            factor = below[rows] * mod_inverse(row[j], p) % p
+            inv = mod_inverse(row[j], p)
+            factor = (below[rows].astype(np.int64) * inv % p).astype(a.dtype)
             span = slice(j, support[-1] + 1)
             rows += i + 1
             a[rows, span] -= factor[:, None] * row[span]
@@ -204,9 +240,9 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     if max_k == 0:
         return [d]
     # every array kept here holds entries 0..p-1, so N is reduced straight
-    # into the smallest dtype that fits; the eliminations make int64 copies
+    # into the smallest dtype that fits; the eliminations make signed copies
     small = np.min_scalar_type(p - 1)
-    n = np.remainder(n_mat, p, out=np.empty(n_mat.shape, dtype=small), casting="unsafe")
+    n = reduced(n_mat, p, small)
     layer = np.delete(np.eye(d, dtype=small), pivot_rows(n, p), axis=0)
     rows, cols = np.nonzero(n)
     vals = n[rows, cols].astype(np.int64)

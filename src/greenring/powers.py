@@ -125,6 +125,7 @@ def gow_laffey_check(ctx: RingContext, m: int, r: int) -> ReciprocityVerdict:
     """
     if ctx.p == 2:
         raise GreenRingError("reciprocity check requires odd p")
+    m, r = _integer(m, "level"), _integer(r, "index")
     if not 1 <= m <= ctx.nu:
         raise IndexRangeError(f"level {m} outside 1..{ctx.nu}")
     q = ctx.p**m

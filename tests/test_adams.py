@@ -64,6 +64,13 @@ class TestFoldExponent:
     def test_zero(self):
         assert fold_exponent(CTX7, 0) == 0
 
+    @pytest.mark.parametrize("c", [2.0, 2.5, True, "2"])
+    def test_rejects_non_integer(self, c):
+        # fold_exponent(ctx, 2.0) returned 2.0
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            fold_exponent(CTX7, c)
+        assert type(fold_exponent(CTX7, np.int64(9))) is int
+
     def test_divisible_rejected(self):
         with pytest.raises(DivisibilityError):
             fold_exponent(CTX7, 14)

@@ -75,6 +75,13 @@ class TestRingContext:
         ctx = RingContext(3, 3)
         assert [ctx.level(s) for s in (1, 2, 3, 4, 9, 10, 27)] == [0, 1, 1, 2, 2, 3, 3]
 
+    @pytest.mark.parametrize("s", [2.5, 4.0, True, "4"])
+    def test_level_rejects_non_integer(self, s):
+        # RingContext(3, 3).level(2.5) was 1
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            RingContext(3, 3).level(s)
+        assert RingContext(3, 3).level(np.int64(4)) == 2
+
     # p and nu are integers or rejected, never coerced: RingContext(3.0, 2)
     # had order 9.0, RingContext(7, 2.0) raised a bare TypeError and
     # RingContext(3, True) was the ring of order 3
@@ -153,6 +160,19 @@ class TestArithmetic:
         e = scale(-2, basis_element(CTX, 1))
         assert e.coeff(1) == -2
 
+    @pytest.mark.parametrize("k", [True, False, np.bool_(True), 2.0, 1.5])
+    def test_scalar_multiple_rejects_bool_and_float(self, k):
+        # basis_element(ctx, 3) * True was V3
+        v3 = basis_element(CTX, 3)
+        for call in (lambda: v3 * k, lambda: k * v3, lambda: scale(k, v3)):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_scalar_multiple_accepts_numpy_integers(self):
+        v3 = basis_element(CTX, 3)
+        for e in (v3 * np.int64(2), np.int32(2) * v3, scale(np.int64(2), v3)):
+            assert e == 2 * v3 and type(e.terms[0][1]) is int
+
     def test_context_mismatch(self):
         other = RingContext(5, 1)
         with pytest.raises(ContextMismatchError):
@@ -204,6 +224,13 @@ class TestSparseStorage:
     def test_coeff_range_checked(self):
         with pytest.raises(IndexRangeError):
             basis_element(CTX, 1).coeff(CTX.order + 1)
+
+    @pytest.mark.parametrize("r", [3.0, 2.5, True, "3"])
+    def test_coeff_rejects_non_integer(self, r):
+        # basis_element(ctx, 3).coeff(3.0) answered for V3
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            basis_element(CTX, 3).coeff(r)
+        assert basis_element(CTX, 3).coeff(np.int64(3)) == 1
 
 
 class TestDim:

@@ -210,6 +210,89 @@ class TestColumnBasis:
                 assert gfp.pivot_rows(view, p) == reference_column_basis(ref, p)[1]
 
 
+def worst_growth_matrix(d, p, corner):
+    """A d x d matrix whose elimination takes (p-1)^2 off its corner at every pivot.
+
+    Row i < d-1 is e_i + (p-1) e_(d-1), each a pivot with no update above it,
+    and the last row is p-1 before the corner: every multiplier is p-1, so
+    the corner falls by (d-1)(p-1)^2 before its row is reduced, the most any
+    entry of a d-row elimination can fall.  The last row is dependent exactly
+    when corner = (d-1)(p-1)^2 mod p.
+    """
+    m = np.eye(d, dtype=np.int64)
+    m[:, -1] = p - 1
+    m[-1] = p - 1
+    m[-1, -1] = corner
+    return m
+
+
+class TestWorkingDtype:
+    # pivot_rows eliminates on the narrowest signed dtype holding
+    # min(rows, cols)*(p-1)^2 + p; at p = 31 that is 36*900 + 31 < 2^15 for
+    # 36 rows and int32 from 37 rows, at p = 1021 int32 up to 2064 rows
+    @pytest.mark.parametrize("rows, cols, p, dtype", [
+        (36, 36, 31, np.int16), (36, 500, 31, np.int16), (500, 37, 31, np.int32),
+        (2064, 2064, 1021, np.int32), (5000, 2064, 1021, np.int32),
+        (2065, 2065, 1021, np.int64), (2065, 5000, 1021, np.int64),
+        (126, 126, 2, np.int8), (127, 127, 2, np.int16), (0, 0, 1021, np.int16),
+    ])
+    def test_rule(self, rows, cols, p, dtype):
+        got = gfp.elimination_dtype(rows, cols, p)
+        assert got == dtype
+        bound = min(rows, cols) * (p - 1) ** 2 + p
+        assert np.iinfo(got).min <= -bound and bound - 1 <= np.iinfo(got).max
+
+    @pytest.mark.parametrize("d, dtype", [(36, np.int16), (37, np.int32)])
+    def test_dense_at_the_int16_edge(self, d, dtype, monkeypatch):
+        # dense random matrices on both sides of the switch, full and low
+        # rank, and the matrix whose corner falls the furthest
+        p = 31
+        rng = random.Random(8400 + d)
+        mats = [random_matrix(rng, d, d, p, 1.0) for _ in range(3)]
+        mats += [low_rank_matrix(rng, d, d, r, p) for r in (d - 1, d // 2)]
+        fall = (d - 1) * (p - 1) ** 2
+        mats += [worst_growth_matrix(d, p, c) for c in (fall % p, (fall + 1) % p)]
+        used = []
+        reduced = gfp.reduced
+
+        def record(m, p, dtype):
+            used.append(np.dtype(dtype))
+            return reduced(m, p, dtype)
+
+        monkeypatch.setattr(gfp, "reduced", record)
+        for m in mats:
+            pivots = reference_column_basis(m, p)[1]
+            used.clear()
+            assert gfp.pivot_rows(m, p) == pivots
+            assert used == [dtype]
+            assert gfp.rank_profile(m, p, d + 1) == power_ranks(m, p, d + 1)
+        assert len(reference_column_basis(mats[-2], p)[1]) == d - 1
+        assert len(reference_column_basis(mats[-1], p)[1]) == d
+
+    @pytest.mark.parametrize("d", (36, 37))
+    def test_unreduced_negative_and_unsigned_input(self, d):
+        # entries far from 0..p-1 are reduced before the narrow cast, in a
+        # type that holds them: none wraps, whatever the input dtype
+        p = 31
+        rng = random.Random(8500 + d)
+        for m in (random_matrix(rng, d, d, p, 1.0), low_rank_matrix(rng, d, d, d - 3, p),
+                  worst_growth_matrix(d, p, 0)):
+            pivots = reference_column_basis(m, p)[1]
+            ranks = power_ranks(m, p, d + 1)
+            k = np.array([[rng.randrange(1, 1000) for _ in range(d)] for _ in range(d)])
+            top = (2**63 - 1) // p - 1
+            variants = [
+                m + p * k,
+                m - p * k,
+                m - p * top,
+                m.astype(np.uint64) + np.uint64(p) * np.uint64((2**64 - 1) // p - 1),
+                m.astype(np.uint64) + np.uint64(p) * k.astype(np.uint64),
+            ]
+            for v in variants:
+                assert gfp.pivot_rows(v, p) == pivots
+                assert gfp.rank_profile(v, p, d + 1) == ranks
+
+
 def unit_triangular_inverse(t, p):
     """Inverse of a unit lower-triangular matrix mod p, by forward substitution."""
     d = t.shape[0]

@@ -165,3 +165,10 @@ class TestGowLaffey:
             gow_laffey_check(CTX5, 3, 1)
         with pytest.raises(IndexRangeError):
             gow_laffey_check(CTX5, 1, 6)
+
+    @pytest.mark.parametrize("m, r", [(True, 2), (1.0, 2), (1, 2.0), (1, True), ("1", 2)])
+    def test_rejects_non_integer(self, m, r):
+        # gow_laffey_check(ctx, True, 2) checked level 1
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            gow_laffey_check(CTX5, m, r)
+        assert gow_laffey_check(CTX5, np.int64(1), np.int32(2)).ok
