@@ -7,23 +7,23 @@ one entry, stays within d*(p-1)^2 of its start.  So an array of residues is
 held in min_scalar_type(p - 1) (uint8 for p <= 251), and the working copy of
 pivot_rows in the narrowest signed dtype holding min(rows, cols)*(p-1)^2 + p
 (elimination_dtype: int16 up to 909 columns at p = 7, int32 up to 2064
-columns at p = 1021, int64 only for large p*d).  column_basis and the powers
-of a non-nilpotent N stay int64.  Other values are reduced exactly where a
-zero test or an inverse needs them.
+columns at p = 1021, int64 only for large p*d).  The powers of a
+non-nilpotent N are squared in int64.  Other values are reduced exactly
+where a zero test or an inverse needs them.
 
 The oracle decomposes a unipotent matrix from the rank profile of its
 displacement N, read off one Krylov elimination: unit vectors on the rows of
 N outside its row rank profile span a complement W of im N, and one
 elimination of the layers N^j W, deepest first, counts every rank(N^k).
-Both eliminations need only which rows are independent of the rows above
-them, so they run pivot_rows, a forward elimination that builds no basis
+There is one elimination kernel, pivot_rows: both eliminations need only
+which rows are independent of the rows above them, so it builds no basis
 and updates only the rows in the pivot's column, from the pivot to the last
-nonzero of the pivot row.  column_basis, the reduced column-echelon form,
-is left for the basis of im N^L that non-nilpotent input needs.  A layer is
-a product over N's nonzeros, so the sparse displacements of induced Jordan
-actions stay cheap throughout.  A tensor of two Jordan blocks needs no
-matrix of its own: its block sizes are the Smith valuations of one small
-matrix over a truncated polynomial ring (jordan_pair_rank_profile).
+nonzero of the pivot row.  Non-nilpotent input heads the stack with the
+nonzero columns of N^L, which span im N^L.  A layer is a product over N's
+nonzeros, so the sparse displacements of induced Jordan actions stay cheap
+throughout.  A tensor of two Jordan blocks needs no matrix of its own: its
+block sizes are the Smith valuations of one small matrix over a truncated
+polynomial ring (jordan_pair_rank_profile).
 """
 
 from __future__ import annotations
@@ -75,90 +75,16 @@ def elimination_dtype(rows: int, cols: int, p: int) -> np.dtype:
     return np.min_scalar_type(-(min(rows, cols) * (p - 1) ** 2 + p))
 
 
-def column_basis(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced column-echelon basis of the column space of m over GF(p).
-
-    Returns (e, pivots) where e holds one column per pivot, e[pivots, :] is
-    the identity, and the columns of e span the column space of m.  e is a
-    view of the first columns of the private int64 working copy, reduced mod p
-    in place, so no second array of the input's size is allocated; m itself
-    is never written.
-
-    Gauss-Jordan over the rows in order, with no column swaps: a boolean mask
-    marks the columns not yet pivoted, and row i's pivot is the first of them
-    where the reduced row is nonzero.  That column is normalised in place and
-    the rank-1 update clears row i in every other column.  So when row i is
-    reached every row above it is zero in the columns not yet pivoted, and
-    the update touches only the rows below i where the pivot column is
-    nonzero; row i itself becomes the unit vector of its pivot column.  Only
-    at the end do the pivot columns move to the front, in pivot order, each
-    copied once, with one d-long temporary at a time.
-    The reduced column-echelon form is unique, so which nonzero column is
-    taken does not change (e, pivots).
-
-    A row is reduced mod p when it is reached, and a pivot column below its
-    pivot when it is normalised; until then each step changes an entry by
-    at most (p-1)^2, d*(p-1)^2 in all.
-    """
-    a = np.array(m, dtype=np.int64)
-    d, n = a.shape
-    free = np.ones(n, dtype=bool)
-    pivots: list[int] = []
-    pcols: list[int] = []
-    for i in range(d):
-        if len(pcols) == n:
-            break
-        row = a[i]
-        row %= p
-        live = row.astype(bool)
-        live &= free
-        j = int(live.argmax())
-        if not live[j]:
-            continue
-        below = a[i + 1 :, j]
-        below %= p
-        rows = np.flatnonzero(below)
-        if rows.size:
-            col = below[rows] * mod_inverse(row[j], p) % p
-            rows += i + 1
-            a[rows] -= np.outer(col, row)
-            a[rows, j] = col
-        row.fill(0)
-        row[j] = 1
-        free[j] = False
-        pivots.append(i)
-        pcols.append(j)
-    # position c takes column pcols[c], each column copied once: a walk fills
-    # c, then the position c's column came from, and so on.  Walks from the
-    # positions whose own column is dropped (still free) end at a column past
-    # the first r; the cycles left over close through the held copy of their
-    # start.
-    r = len(pcols)
-    todo = [c != j for c, j in enumerate(pcols)]
-    for start in [*np.flatnonzero(free[:r]).tolist(), *range(r)]:
-        if not todo[start]:
-            continue
-        held = a[:, start].copy()
-        c = start
-        while todo[c]:
-            todo[c] = False
-            j = pcols[c]
-            a[:, c] = held if j == start else a[:, j]
-            if j < r:
-                c = j
-    e = a[:, :r]
-    e %= p
-    return e, pivots
-
-
 def pivot_rows(m: np.ndarray, p: int) -> list[int]:
     """Row rank profile of m over GF(p): the rows independent of the rows above.
 
-    These are the pivots of column_basis(m, p), found by forward elimination
-    alone, on a private C-ordered copy of m mod p: no basis, no column
-    bookkeeping.  The copy has the dtype elimination_dtype gives: int16 for
-    every matrix of d <= 909 at p = 7, so the Krylov stack, the largest
-    working array of a decomposition, takes 2 bytes an entry rather than 8.
+    The module's one elimination kernel.  The number of pivots is the rank of
+    the rows, so a spanning set of a row space counts its dimension as a
+    basis would.  The pivots are found by forward elimination alone, on a
+    private C-ordered copy of m mod p: no basis, no column bookkeeping.  The
+    copy has the dtype elimination_dtype gives: int16 for every matrix of
+    d <= 909 at p = 7, so the Krylov stack, the largest working array of a
+    decomposition, takes 2 bytes an entry rather than 8.
     Row i is reduced mod p when it is reached, and its pivot is its first
     nonzero column; that column is cleared in the rows below i, so when row i
     is reached it is zero in every earlier pivot column, and it is zero as a
@@ -205,14 +131,15 @@ _PRODUCT_CELLS = 1 << 18
 def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     """[rank(N^0), rank(N^1), ..., rank(N^max_k)] for a square matrix N.
 
-    Read off one Krylov elimination.  The unit vectors W on the free rows,
-    those outside pivot_rows(N) (the pivots of column_basis(N)), span a
-    complement of im N: a combination of them has zero pivot entries, so it
-    lies in im N only if it is zero.  Hence V = W + N V, and for nilpotent N
-    unrolling gives im N^k = span{N^j w : j >= k}.  The layers N^j W, zero
-    rows dropped, are stacked deepest first and eliminated once by
-    pivot_rows; a pivot is a row independent of the rows above it, so the
-    pivots in the layers j >= k count rank(N^k) exactly.
+    A matrix that is not square and 2-D, or a negative max_k, raises
+    ValueError.  Read off one Krylov elimination.  The unit vectors W on the free rows,
+    those outside pivot_rows(N), span a complement of im N: a combination of
+    them has zero pivot entries, so it lies in im N only if it is zero.
+    Hence V = W + N V, and for nilpotent N unrolling gives
+    im N^k = span{N^j w : j >= k}.  The layers N^j W, zero rows dropped, are
+    stacked deepest first and eliminated once by pivot_rows; a pivot is a
+    row independent of the rows above it, so the pivots in the layers
+    j >= k count rank(N^k) exactly.
 
     Unrolled only L times, V = W + N V gives, for any N and every k <= L,
     im N^k = im N^L + span{N^j w : k <= j < L}, so at most L layers are
@@ -220,11 +147,12 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     every w lies in K = ker N^d, and im N^L = im N^(L+1) = ... is the part
     U = im N^d on which N is invertible; U meets K only in 0, so it adds d
     minus all pivots to each rank.  Otherwise N is not nilpotent of index
-    at most L, and a basis of im N^L, from N^L by repeated squaring, goes
-    ahead of the layers.  The oracle passes max_k = q, and unipotent input
-    of order dividing q dies by depth q <= L, so only input it rejects
-    reaches the squaring.  When max_k exceeds L, then L >= d and
-    im N^k = im N^L for k >= L.
+    at most L, and the nonzero columns of N^L, from repeated squaring, go
+    ahead of the layers as rows: they span im N^L, so pivot_rows counts
+    rank(N^L) among them as it would among a basis.  The oracle passes
+    max_k = q, and unipotent input of order dividing q dies by depth q <= L,
+    so only input it rejects reaches the squaring.  When max_k exceeds L,
+    then L >= d and im N^k = im N^L for k >= L.
 
     The stack has a row per w and power of N leaving it nonzero: about d
     rows for Jordan blocks and induced matrices, whose free rows sit near
@@ -236,7 +164,12 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     products of factors reduced mod p, so every int64 entry stays within
     d*(p-1)^2, far inside int64 for every prime and dimension admitted.
     """
-    d = n_mat.shape[0]
+    shape = np.shape(n_mat)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"rank_profile needs a square matrix, got shape {shape}")
+    if max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {max_k}")
+    d = shape[0]
     if max_k == 0:
         return [d]
     # every array kept here holds entries 0..p-1, so N is reduced straight
@@ -270,7 +203,7 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
         power, e = n.astype(np.int64), 1
         while e < depth:
             power, e = power @ power % p, 2 * e
-        head = column_basis(power, p)[0].T
+        head = power.T[power.any(axis=0)].astype(small)
     stack = [head, *layers[::-1]]
     pivots = pivot_rows(np.vstack(stack), p)
     # found[k]: the pivots in im N^L and the layers j >= k, which come first

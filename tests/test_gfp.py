@@ -1,10 +1,8 @@
-"""The GF(p) elimination kernels against pure-Python references.
+"""The GF(p) elimination kernel and rank profiles against pure-Python references.
 
-column_basis returns the reduced column-echelon form of the column space,
-which is unique: the pivots are the rows that raise the rank of the rows
-above them, and e is the one basis of the column space with e[pivots] = I.
-So any correct elimination must return exactly the same (e, pivots), and
-pivot_rows exactly the same pivots.
+The row rank profile is unique: the pivots are the rows that raise the rank
+of the rows above them.  So pivot_rows must return exactly the pivots of a
+pure-Python Gauss-Jordan elimination, whatever order it eliminates in.
 """
 
 import random
@@ -65,19 +63,6 @@ def low_rank_matrix(rng, d, n, r, p):
     return m[rows][:, cols]
 
 
-def assert_reduced_echelon(m, p, e, pivots, rank):
-    assert e.shape == (m.shape[0], rank)
-    assert len(pivots) == rank
-    assert pivots == sorted(set(pivots))
-    assert e.dtype == np.int64
-    assert ((e >= 0) & (e < p)).all()
-    assert np.array_equal(e[pivots], np.eye(rank, dtype=np.int64))
-    for k, i in enumerate(pivots):
-        assert not e[:i, k].any()
-    # every column of m lies in the span of e, with coordinates m[pivots]
-    assert np.array_equal((e @ m[pivots]) % p, m % p)
-
-
 # (d, n, density): empty, wide, tall, zero, square sparse and dense
 SHAPES = [(0, 0, 0.5), (0, 4, 0.5), (4, 0, 0.5), (1, 1, 1.0), (3, 3, 0.0),
           (5, 12, 0.4), (12, 5, 0.4), (9, 9, 0.1), (14, 14, 1.0),
@@ -85,30 +70,24 @@ SHAPES = [(0, 0, 0.5), (0, 4, 0.5), (4, 0, 0.5), (1, 1, 1.0), (3, 3, 0.0),
 
 
 class TestColumnBasis:
+    # pivot_rows against the pivots of reference_column_basis, the
+    # pure-Python reduced column-echelon form the class is named for
     @pytest.mark.parametrize("p", PRIMES)
     def test_matches_reference(self, p):
         rng = random.Random(7000 + p)
         for d, n, density in SHAPES:
             for _ in range(3):
                 m = random_matrix(rng, d, n, p, density)
-                e, pivots = gfp.column_basis(m, p)
-                e_ref, pivots_ref = reference_column_basis(m, p)
-                assert pivots == pivots_ref
-                assert gfp.pivot_rows(m, p) == pivots_ref
-                assert np.array_equal(e, e_ref)
-                assert_reduced_echelon(m, p, e, pivots, len(pivots_ref))
+                assert gfp.pivot_rows(m, p) == reference_column_basis(m, p)[1]
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_known_rank(self, p):
         rng = random.Random(7100 + p)
         for d, n, r in [(10, 10, 0), (10, 10, 4), (8, 15, 8), (15, 8, 3), (12, 12, 12)]:
             m = low_rank_matrix(rng, d, n, r, p)
-            e, pivots = gfp.column_basis(m, p)
-            e_ref, pivots_ref = reference_column_basis(m, p)
-            assert pivots == pivots_ref
+            pivots_ref = reference_column_basis(m, p)[1]
+            assert len(pivots_ref) == r
             assert gfp.pivot_rows(m, p) == pivots_ref
-            assert np.array_equal(e, e_ref)
-            assert_reduced_echelon(m, p, e, pivots, r)
 
     def test_unreduced_input(self):
         rng = random.Random(7200)
@@ -116,37 +95,26 @@ class TestColumnBasis:
         shifted = m + 7 * np.array(
             [[rng.randrange(-50, 50) for _ in range(10)] for _ in range(10)]
         )
-        e, pivots = gfp.column_basis(shifted, 7)
-        e_ref, pivots_ref = reference_column_basis(m, 7)
-        assert pivots == pivots_ref
-        assert gfp.pivot_rows(shifted, 7) == pivots_ref
-        assert np.array_equal(e, e_ref)
+        assert gfp.pivot_rows(shifted, 7) == reference_column_basis(m, 7)[1]
 
     def test_input_untouched(self):
         rng = random.Random(7300)
         m = random_matrix(rng, 12, 12, 5, 0.5)
         before = m.copy()
-        gfp.column_basis(m, 5)
-        assert np.array_equal(m, before)
         assert gfp.pivot_rows(m, 5) == reference_column_basis(m, 5)[1]
         assert np.array_equal(m, before)
 
     def test_dense_large_prime(self):
         # entries accumulate up to d*(p-1)^2 between reductions: an overflow
-        # or a missed reduction would break the echelon form or the span
+        # or a missed reduction would change the pivots
         p = 1021
         rng = random.Random(7400)
         m = random_matrix(rng, 300, 300, p, 1.0)
-        e, pivots = gfp.column_basis(m, p)
-        e_ref, pivots_ref = reference_column_basis(m, p)
-        assert pivots == pivots_ref
-        assert gfp.pivot_rows(m, p) == pivots_ref
-        assert np.array_equal(e, e_ref)
-        assert_reduced_echelon(m, p, e, pivots, len(pivots))
+        assert gfp.pivot_rows(m, p) == reference_column_basis(m, p)[1]
         m = low_rank_matrix(rng, 300, 300, 260, p)
-        e, pivots = gfp.column_basis(m, p)
-        assert_reduced_echelon(m, p, e, pivots, 260)
-        assert gfp.pivot_rows(m, p) == pivots
+        pivots_ref = reference_column_basis(m, p)[1]
+        assert len(pivots_ref) == 260
+        assert gfp.pivot_rows(m, p) == pivots_ref
 
     @pytest.mark.parametrize("p", (7, 31, 251, 1021))
     def test_unsigned_input(self, p):
@@ -157,15 +125,8 @@ class TestColumnBasis:
             m = random_matrix(rng, d, n, p, density)
             small = m.astype(dtype)
             before = small.copy()
-            e, pivots = gfp.column_basis(small, p)
+            assert gfp.pivot_rows(small, p) == reference_column_basis(m, p)[1]
             assert np.array_equal(small, before)
-            e64, pivots64 = gfp.column_basis(m, p)
-            e_ref, pivots_ref = reference_column_basis(m, p)
-            assert pivots == pivots64 == pivots_ref
-            assert gfp.pivot_rows(small, p) == pivots_ref
-            assert np.array_equal(small, before)
-            assert e.dtype == np.int64
-            assert np.array_equal(e, e64) and np.array_equal(e, e_ref)
 
     @pytest.mark.parametrize("build, size", [("tensor", (10, 12)), ("tensor", (11, 13)),
                                              ("wedge", 16), ("sym", 14)])
@@ -192,10 +153,7 @@ class TestColumnBasis:
         monkeypatch.undo()
         assert len(calls) == 2
         for m in calls:
-            e, pivots = gfp.column_basis(m, 7)
-            e_ref, pivots_ref = reference_column_basis(m, 7)
-            assert gfp.pivot_rows(m, 7) == pivots == pivots_ref
-            assert np.array_equal(e, e_ref)
+            assert gfp.pivot_rows(m, 7) == reference_column_basis(m, 7)[1]
 
     @pytest.mark.parametrize("p", (2, 7, 1021))
     def test_pivot_rows_any_memory_order(self, p):
@@ -392,8 +350,9 @@ class TestRankProfile:
 
     def test_invertible_half_depth_capped(self):
         # a dense conjugate of (invertible 60 x 60) + 0: every Krylov layer
-        # survives, so the depth is capped at 8 >= max_k and a basis of
-        # im N^8 goes ahead of the layers (all d = 120 layers without the cap)
+        # survives, so the depth is capped at 8 >= max_k and the nonzero
+        # columns of N^8 go ahead of the layers (all d = 120 layers without
+        # the cap)
         p = 7
         rng = random.Random(8200)
         a = random_matrix(rng, 60, 60, p, 1.0)
@@ -430,6 +389,13 @@ class TestRankProfile:
 
     def test_empty(self):
         assert gfp.rank_profile(np.zeros((0, 0), dtype=np.int64), 2, 3) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("shape, max_k, match", [
+        ((2, 3), 2, "square"), ((2, 2, 2), 2, "square"), ((2, 2), -1, "max_k"),
+    ])
+    def test_rejects_bad_input(self, shape, max_k, match):
+        with pytest.raises(ValueError, match=match):
+            gfp.rank_profile(np.zeros(shape, dtype=np.int64), 5, max_k)
 
     def test_invertible_plus_nilpotent(self):
         # an invertible 3 x 3 block beside nilpotent blocks of sizes 4 and 2:
