@@ -57,10 +57,11 @@ from .errors import (
 )
 from .polynomials import dickson_first
 
-# after the package's own modules: importing numpy first leaves more young
-# objects at the end of `import greenring`, enough to move a generation-1
-# collection of the cyclic collector (about 1.5 ms) into the first ring
-# operations of a process
+# after the package's own modules: the benchmark worker, having imported
+# greenring and greenring.cli, is ready at gc.get_count() (549, 10, 4) this
+# way and at (0, 11, 4) with numpy first, which brings its first
+# generation-1 collection of the cyclic collector (about 1.5 ms) about 150
+# allocations sooner, into the first ring operations
 import numpy as np
 
 _CACHE: dict[tuple[int, int], dict[tuple[int, int], GreenElement]] = {}

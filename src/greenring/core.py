@@ -536,8 +536,13 @@ _TERM_RE = re.compile(r"\s*([+-])?\s*([0-9]+)?V([0-9]+)")
 
 
 def parse_element(ctx: RingContext, text: str) -> GreenElement:
-    """Parse a literal like "V5-V3+2V1" (strict grammar, whitespace allowed)."""
+    """Parse a literal like "V5-V3+2V1" (strict grammar, whitespace allowed).
+
+    The zero element is "0"; empty or blank text raises ParseError.
+    """
     s = text.strip()
+    if not s:
+        raise ParseError(f"empty element literal {text!r}; the zero element is \"0\"")
     if s == "0":
         return zero(ctx)
     terms: list[tuple[int, int]] = []

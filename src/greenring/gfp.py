@@ -7,7 +7,8 @@ one entry, stays within d*(p-1)^2 of its start.  So an array of residues is
 held in min_scalar_type(p - 1) (uint8 for p <= 251), and the working copy of
 pivot_rows in the narrowest signed dtype holding min(rows, cols)*(p-1)^2 + p
 (elimination_dtype: int16 up to 909 columns at p = 7, int32 up to 2064
-columns at p = 1021, int64 only for large p*d).  The powers of a
+columns at p = 1021, int64 only for large p*d).  rank_profile reads an N
+already held as such residues as it is, with no copy.  The powers of a
 non-nilpotent N are squared in int64.  Other values are reduced exactly
 where a zero test or an inverse needs them.
 
@@ -132,7 +133,12 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     """[rank(N^0), rank(N^1), ..., rank(N^max_k)] for a square matrix N.
 
     A matrix that is not square and 2-D, or a negative max_k, raises
-    ValueError.  Read off one Krylov elimination.  The unit vectors W on the free rows,
+    ValueError.  N is never written.  A C-ordered array of
+    min_scalar_type(p - 1) with every entry below p, as decompose passes
+    it, is read as it is, at the cost of one max; any other N is reduced
+    into a new array of that dtype.
+
+    Read off one Krylov elimination.  The unit vectors W on the free rows,
     those outside pivot_rows(N), span a complement of im N: a combination of
     them has zero pivot entries, so it lies in im N only if it is zero.
     Hence V = W + N V, and for nilpotent N unrolling gives
@@ -172,10 +178,17 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     d = shape[0]
     if max_k == 0:
         return [d]
-    # every array kept here holds entries 0..p-1, so N is reduced straight
-    # into the smallest dtype that fits; the eliminations make signed copies
+    # every array kept here holds entries 0..p-1 in the smallest dtype that
+    # fits; the eliminations make signed copies
     small = np.min_scalar_type(p - 1)
-    n = reduced(n_mat, p, small)
+    n = n_mat
+    if not (
+        type(n) is np.ndarray
+        and n.dtype == small
+        and n.flags.c_contiguous
+        and n.max(initial=0) < p
+    ):
+        n = reduced(n_mat, p, small)
     layer = np.delete(np.eye(d, dtype=small), pivot_rows(n, p), axis=0)
     rows, cols = np.nonzero(n)
     vals = n[rows, cols].astype(np.int64)

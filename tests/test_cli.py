@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -42,11 +43,12 @@ def reference_table_text(ctx, n, fmt):
     return f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":[' + ",".join(rows) + "]}\n"
 
 
-def run_cli(args):
+def run_cli(args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "greenring", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -111,6 +113,17 @@ class TestMulCommand:
 
     def test_bad_literal_exits_two(self):
         assert main(["mul", "--p", "3", "--nu", "2", "--a", "W2", "--b", "V1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["mul", "--p", "3", "--nu", "2", "--a", "", "--b", "V2"],
+        ["mul", "--p", "3", "--nu", "2", "--a", "V2", "--b", "  "],
+        ["psi", "--p", "3", "--nu", "2", "--n", "2", "--element", ""],
+    ])
+    def test_blank_literal_exits_two(self, argv, capsys):
+        # the zero element is written "0"; a blank literal is a usage error
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and "empty element literal" in err
 
     def test_product_beyond_oracle_cap(self, capsys):
         # induced dimension 250000 exceeds the oracle cap; multiply needs no matrix
@@ -403,3 +416,89 @@ class TestDeterminism:
     def test_entry_point_exit_code(self):
         code, out, _ = run_cli(["psi", "--p", "5", "--nu", "1", "--n", "5", "--s", "2"])
         assert code == 2
+
+
+HELP = """\
+usage: greenring [-h] {psi,mul,lambda,sym,table,verify} ...
+
+Exact Adams operations and tensor powers in the Green ring of a cyclic
+p-group.
+
+positional arguments:
+  {psi,mul,lambda,sym,table,verify}
+    psi                 apply an Adams operation
+    mul                 multiply two elements
+    lambda              exterior power (degree < p)
+    sym                 symmetric power (degree < p)
+    table               tabulate an Adams operation over the whole basis
+    verify              run an identity sweep
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+VERIFY_USAGE = """\
+usage: greenring verify [-h] --p P --nu NU --suite
+                        {dimension,homomorphism,periodicity,symmetry,reciprocity,shape,heller,gow-laffey,oracle,all}
+"""
+
+VERIFY_HELP = VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --p P                 prime p
+  --nu NU               exponent nu of the group order p^nu
+  --suite {dimension,homomorphism,periodicity,symmetry,reciprocity,shape,heller,gow-laffey,oracle,all}
+"""
+
+BAD_SUITE = VERIFY_USAGE + (
+    "greenring verify: error: argument --suite: invalid choice: 'nope' (choose from"
+    " 'dimension', 'homomorphism', 'periodicity', 'symmetry', 'reciprocity', 'shape',"
+    " 'heller', 'gow-laffey', 'oracle', 'all')\n"
+)
+
+# run in a fresh interpreter: the other tests import greenring.suites
+IMPORT_CONTRACT = """
+import sys
+import greenring
+import greenring.cli
+from greenring.cli import main
+
+for argv in (
+    ["psi", "--p", "7", "--nu", "2", "--n", "3", "--s", "5"],
+    ["mul", "--p", "7", "--nu", "2", "--a", "V3", "--b", "V5"],
+    ["lambda", "--p", "7", "--nu", "2", "--n", "2", "--s", "5"],
+    ["sym", "--p", "7", "--nu", "2", "--n", "2", "--s", "5"],
+    ["table", "--p", "7", "--nu", "2", "--n", "3", "--format", "json"],
+):
+    assert main(argv) == 0, argv
+assert "greenring.suites" not in sys.modules
+assert main(["verify", "--p", "3", "--nu", "2", "--suite", "shape"]) == 0
+assert "greenring.suites" in sys.modules
+"""
+
+
+class TestImportContract:
+    # psi, mul, lambda, sym and table never compile the verify suites; the
+    # CLI reads the suite names from its own tuple, pinned to the suites' one
+    def test_only_verify_imports_the_suites(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_CONTRACT], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().endswith("RESULT: PASS")
+
+    def test_suite_choices_match_the_suites(self):
+        sub = _build_parser()._subparsers._group_actions[0].choices["verify"]
+        (action,) = [a for a in sub._actions if a.dest == "suite"]
+        assert tuple(action.choices) == suites.SUITE_NAMES
+
+    @pytest.mark.parametrize("args, code, stream, text", [
+        (["--help"], 0, "out", HELP),
+        (["verify", "--help"], 0, "out", VERIFY_HELP),
+        (["verify", "--p", "3", "--nu", "2", "--suite", "nope"], 2, "err", BAD_SUITE),
+    ], ids=["help", "verify-help", "bad-suite"])
+    def test_usage_text_pinned(self, args, code, stream, text):
+        # argparse wraps to the terminal width, which COLUMNS fixes
+        got_code, out, err = run_cli(args, env={**os.environ, "COLUMNS": "80"})
+        assert got_code == code
+        assert (out if stream == "out" else err) == text

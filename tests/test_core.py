@@ -406,6 +406,13 @@ class TestFormatting:
             with pytest.raises(ParseError):
                 parse_element(CTX, bad)
 
+    @pytest.mark.parametrize("blank", ["", "   ", "\t\n"])
+    def test_parse_rejects_blank(self, blank):
+        # the grammar's zero is "0"; blank text is not an element
+        with pytest.raises(ParseError, match="empty"):
+            parse_element(CTX, blank)
+        assert parse_element(CTX, " 0 ") == zero(CTX)
+
     @pytest.mark.parametrize("bad", ["V\u0661", "\u0662V1", "V1+V\u0663", "V\uff15", "V1\u0660"])
     def test_parse_rejects_non_ascii_digits(self, bad):
         # int() reads Arabic-Indic and fullwidth digits; the grammar is ASCII

@@ -389,6 +389,7 @@ class TestRankProfile:
 
     def test_empty(self):
         assert gfp.rank_profile(np.zeros((0, 0), dtype=np.int64), 2, 3) == [0, 0, 0, 0]
+        assert gfp.rank_profile(np.zeros((0, 0), dtype=np.uint8), 2, 3) == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("shape, max_k, match", [
         ((2, 3), 2, "square"), ((2, 2, 2), 2, "square"), ((2, 2), -1, "max_k"),
@@ -465,3 +466,68 @@ class TestRankProfile:
                 m[k:, k:] = np.triu(random_matrix(rng, d - k, d - k, p, 0.7), 1)
                 m = random_conjugate(rng, m, p)
             assert gfp.rank_profile(m, p, d + 1) == power_ranks(m, p, d + 1)
+
+
+class TestResidueInput:
+    # rank_profile reads a C-ordered N of min_scalar_type(p - 1) with every
+    # entry below p as it is, the N that decompose passes, and reduces any
+    # other N into a new array of that dtype first; d >= 2, so the strided
+    # and Fortran-ordered forms are not C-ordered
+
+    @staticmethod
+    def reduce_calls(monkeypatch):
+        calls = []
+        real = gfp.reduced
+
+        def record(m, p, dtype):
+            calls.append(np.dtype(dtype))
+            return real(m, p, dtype)
+
+        monkeypatch.setattr(gfp, "reduced", record)
+        return calls
+
+    @pytest.mark.parametrize("p", (2, 7, 1021))
+    def test_residues_read_in_place(self, p, monkeypatch):
+        rng = random.Random(8400 + p)
+        sizes = [5, 4, 2, 1, 1]
+        n = conjugated_jordan(rng, sizes, p).astype(np.min_scalar_type(p - 1))
+        before = n.copy()
+        calls = self.reduce_calls(monkeypatch)
+        assert gfp.rank_profile(n, p, 7) == block_ranks(sizes, 7)
+        assert np.array_equal(n, before)
+        # only the two eliminations copy, each into a signed dtype
+        assert [dt.kind for dt in calls] == ["i", "i"]
+
+    @pytest.mark.parametrize("p", (2, 7, 1021))
+    def test_any_representation_gives_one_profile(self, p, monkeypatch):
+        rng = random.Random(8500 + p)
+        small = np.min_scalar_type(p - 1)
+        for _ in range(6):
+            d = rng.randint(2, 16)
+            m = random_matrix(rng, d, d, p, rng.choice((0.2, 1.0)))
+            if rng.random() < 0.5:
+                m = conjugated_jordan(rng, [rng.randint(1, 5) for _ in range(3)], p)
+                d = m.shape[0]
+            expected = power_ranks(m, p, d + 1)
+            wide = np.zeros((2 * d, 2 * d), dtype=small)
+            wide[::2, ::2] = m
+            lift = rng.randint(1, 3) * p
+            forms = [
+                m.astype(small),
+                m,
+                m.astype(np.int32),
+                wide[::2, ::2],
+                np.asfortranarray(m.astype(small)),
+                (m + lift).astype(small),
+                m + lift,
+                m - lift,
+            ]
+            for form in forms:
+                before = form.copy()
+                calls = self.reduce_calls(monkeypatch)
+                assert gfp.rank_profile(form, p, d + 1) == expected
+                assert np.array_equal(form, before)
+                # the residue form alone skips the copy into min_scalar_type(p - 1)
+                copied = small in calls
+                assert copied == (form is not forms[0]), form.dtype
+                monkeypatch.undo()
