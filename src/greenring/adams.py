@@ -179,9 +179,7 @@ def adams_basis(ctx: RingContext, n: int, s: int, fold: bool = True) -> GreenEle
     those identities can be verified rather than assumed.
     """
     n = _check_exponent(ctx, n)
-    s = _integer(s, "index")
-    if not 1 <= s <= ctx.order:
-        raise IndexRangeError(f"index {s} outside 1..{ctx.order}")
+    s = ctx.check_index(s)
     n_eff = fold_exponent(ctx, n) if fold else n
     return _adams_basis(ctx, n_eff, s)
 
@@ -305,16 +303,21 @@ def _block_elements(ctx: RingContext, block: np.ndarray, units: list) -> list[Gr
     return [GreenElement._from_terms(ctx, terms[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def adams(ctx: RingContext, n: int, w: GreenElement, fold: bool = True) -> GreenElement:
-    """The n-th Adams operation, extended Z-linearly to any element."""
+def adams(ctx: RingContext, n: int, w: GreenElement) -> GreenElement:
+    """The n-th Adams operation, extended Z-linearly to any element.
+
+    Requires p not dividing n, checked for every w, the zero element too;
+    the exponent is folded as in adams_basis.
+    """
     if w.ctx != ctx:
         raise ContextMismatchError("element belongs to a different context")
+    n = _check_exponent(ctx, n)
     if len(w.terms) == 1 and w.terms[0][1] == 1:
         # a basis module: the memoized value itself rather than a copy of it
-        return adams_basis(ctx, n, w.terms[0][0], fold=fold)
+        return adams_basis(ctx, n, w.terms[0][0])
     acc: dict[int, int] = {}
     for s, c in w.terms:
-        for t, v in adams_basis(ctx, n, s, fold=fold).terms:
+        for t, v in adams_basis(ctx, n, s).terms:
             acc[t] = acc.get(t, 0) + c * v
     return GreenElement._from_dict(ctx, acc)
 
@@ -325,6 +328,7 @@ def adams_on_generator(ctx: RingContext, n: int, m: int) -> GreenElement:
     Valid for every n >= 1, including multiples of p: the value is the
     first-kind Dickson polynomial of index n evaluated at the generator.
     """
+    n = _integer(n, "exponent")
     if n < 1:
         raise DivisibilityError(f"exponent must be >= 1, got {n}")
     x = ring_generator(ctx, m)

@@ -103,11 +103,20 @@ class RingContext:
                 raise ValueError(f"group order {self.p}^{self.nu} exceeds cap {cap}")
         object.__setattr__(self, "order", order)
 
+    def check_index(self, r, what: str = "index") -> int:
+        """r as an int, after checking that it is an integer in 1..p^nu.
+
+        The one check of a basis index: a bool, a float or a string raises
+        IndexRangeError rather than being coerced.
+        """
+        r = _integer(r, what)
+        if not 1 <= r <= self.order:
+            raise IndexRangeError(f"{what} {r} outside 1..{self.order}")
+        return r
+
     def level(self, s: int) -> int:
         """Smallest m >= 0 with s <= p^m, for 1 <= s <= p^nu."""
-        s = _integer(s, "index")
-        if not 1 <= s <= self.order:
-            raise IndexRangeError(f"index {s} outside 1..{self.order}")
+        s = self.check_index(s)
         m, pm = 0, 1
         while s > pm:
             pm *= self.p
@@ -215,9 +224,7 @@ class GreenElement:
         return tuple(out)
 
     def coeff(self, r: int) -> int:
-        r = _integer(r, "index")
-        if not 1 <= r <= self.ctx.order:
-            raise IndexRangeError(f"index {r} outside 1..{self.ctx.order}")
+        r = self.ctx.check_index(r)
         i = bisect_left(self.terms, (r,))
         if i < len(self.terms) and self.terms[i][0] == r:
             return self.terms[i][1]
@@ -433,7 +440,9 @@ def ring_generator(ctx: RingContext, m: int) -> GreenElement:
 
 
 def _check_support(ctx: RingContext, m: int, a: GreenElement) -> int:
-    """p^m, after checking that a lies in the level-m subring V_1..V_{p^m}."""
+    """p^m, after checking that a is an element of ctx supported on V_1..V_{p^m}."""
+    if a.ctx != ctx:
+        raise ContextMismatchError(f"mixed contexts {ctx} and {a.ctx}")
     m = _integer(m, "subring level")
     if not 0 <= m <= ctx.nu:
         raise IndexRangeError(f"subring level {m} outside 0..{ctx.nu}")
@@ -496,9 +505,7 @@ def from_dict(data: Mapping) -> GreenElement:
     for key, c in items:
         if not isinstance(key, str) or not _INDEX_KEY_RE.fullmatch(key):
             raise ParseError(f"coefficient key {key!r} is not a decimal index")
-        r = int(key)
-        if not 1 <= r <= ctx.order:
-            raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
+        r = ctx.check_index(int(key))
         terms[r] = _integer(c, f"coefficient of V{r}", ParseError)
     return GreenElement.from_terms(ctx, terms)
 
@@ -554,9 +561,7 @@ def parse_element(ctx: RingContext, text: str) -> GreenElement:
             raise ParseError(f"bad element literal {text!r} at offset {pos}")
         sign = -1 if m.group(1) == "-" else 1
         mag = int(m.group(2)) if m.group(2) else 1
-        r = int(m.group(3))
-        if not 1 <= r <= ctx.order:
-            raise IndexRangeError(f"index {r} outside 1..{ctx.order}")
+        r = ctx.check_index(int(m.group(3)))
         terms.append((r, sign * mag))
         pos = m.end()
         first = False

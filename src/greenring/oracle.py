@@ -49,13 +49,6 @@ def _check_capacity(size: int) -> None:
         raise OracleCapacityError(f"induced dimension {size} exceeds cap {cap}")
 
 
-def _check_index(ctx: RingContext, r, what: str = "index") -> None:
-    if not _is_integer(r):
-        raise IndexRangeError(f"{what} {r!r} is not an integer")
-    if not 1 <= r <= ctx.order:
-        raise IndexRangeError(f"{what} {r} outside 1..{ctx.order}")
-
-
 def _check_degree(n) -> None:
     if not _is_integer(n) or n < 0:
         raise IndexRangeError(f"degree {n!r} is not an integer >= 0")
@@ -69,9 +62,8 @@ class JordanModule:
     blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for b in self.blocks:
-            _check_index(self.ctx, b, "block size")
-        object.__setattr__(self, "blocks", tuple(sorted(int(b) for b in self.blocks)))
+        blocks = (self.ctx.check_index(b, "block size") for b in self.blocks)
+        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
 
     @property
     def dimension(self) -> int:
@@ -124,8 +116,7 @@ class DecompositionReport:
 
 def realize(ctx: RingContext, r: int) -> np.ndarray:
     """The r x r unipotent Jordan block realizing V_r."""
-    _check_index(ctx, r)
-    return gfp.jordan_block(r)
+    return gfp.jordan_block(ctx.check_index(r))
 
 
 def _module_matrix(g, p: int, dtype) -> np.ndarray:
@@ -278,8 +269,7 @@ def pair_product(ctx: RingContext, a: int, b: int) -> DecompositionReport:
     V_a tensor V_b is V_b tensor V_a, so the smaller block sizes the Smith
     matrix.
     """
-    _check_index(ctx, a)
-    _check_index(ctx, b)
+    a, b = ctx.check_index(a), ctx.check_index(b)
     _check_capacity(a * b)
     a, b = min(a, b), max(a, b)
     profile = gfp.jordan_pair_rank_profile(a, b, ctx.p, ctx.order)
@@ -287,33 +277,7 @@ def pair_product(ctx: RingContext, a: int, b: int) -> DecompositionReport:
 
 
 # ---------------------------------------------------------------------------
-# cached decompositions of powers of basis modules
-
-_POWER_CACHE: dict[tuple, DecompositionReport] = {}
-
-
-def _power_decomposition(
-    ctx: RingContext, kind: str, n: int, r: int
-) -> DecompositionReport:
-    _check_degree(n)
-    _check_index(ctx, r)
-    if kind == "wedge" and n > r:
-        # exterior degree above the dimension: the zero module
-        return DecompositionReport(ctx, (), (0,) * (ctx.order + 1))
-    if kind == "wedge":
-        size = math.comb(r, n)
-    else:
-        size = math.comb(r + n - 1, n) if n else 1
-    _check_capacity(size)
-    key = (ctx.p, ctx.nu, kind, n, r)
-    hit = _POWER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    build = wedge if kind == "wedge" else sym
-    report = decompose(ctx, build(ctx, n, realize(ctx, r)))
-    _POWER_CACHE[key] = report
-    return report
-
+# decompositions of powers of basis modules
 
 def wedge_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport:
     """Decomposition of the n-th exterior power of the basis module V_r.
@@ -321,7 +285,11 @@ def wedge_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport
     Decomposes the literal wedge matrix of V_r, whatever n and p; a degree
     above r gives the zero module.
     """
-    return _power_decomposition(ctx, "wedge", n, r)
+    a = realize(ctx, r)
+    _check_degree(n)
+    if n > r:
+        return DecompositionReport(ctx, (), (0,) * (ctx.order + 1))
+    return decompose(ctx, wedge(ctx, n, a))
 
 
 def sym_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport:
@@ -329,4 +297,4 @@ def sym_decomposition(ctx: RingContext, n: int, r: int) -> DecompositionReport:
 
     Decomposes the literal sym matrix of V_r, whatever n and p.
     """
-    return _power_decomposition(ctx, "sym", n, r)
+    return decompose(ctx, sym(ctx, n, realize(ctx, r)))

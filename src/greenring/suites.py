@@ -17,7 +17,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .adams import adams, adams_basis, shape_check, signs_alternate
+from .adams import adams, adams_basis, fold_exponent, shape_check, signs_alternate
 from .core import (
     GreenElement,
     RingContext,
@@ -200,12 +200,21 @@ def run_reciprocity(ctx: RingContext) -> Outcomes:
 
 
 def run_shape(ctx: RingContext) -> Outcomes:
+    # shape_check reads n only through the value memoized at fold(n) and
+    # through n's parity, which the fold keeps: each (fold(n), s) is decided
+    # once, and only its violated clauses are kept
+    violated: dict[int, dict[int, str]] = {}
     for n in _valid_exponents(ctx, ctx.order):
+        f = fold_exponent(ctx, n)
+        first = f not in violated
+        bad = violated.setdefault(f, {})
         for s in range(1, ctx.order + 1):
-            verdict = shape_check(ctx, n, s)
-            yield _SHAPE_LABEL, (
-                None if verdict.ok else f"n={n}, s={s}, clause={verdict.violated.value}"
-            )
+            if first:
+                verdict = shape_check(ctx, n, s)
+                if not verdict.ok:
+                    bad[s] = verdict.violated.value
+            clause = bad.get(s)
+            yield _SHAPE_LABEL, None if clause is None else f"n={n}, s={s}, clause={clause}"
 
 
 def run_heller(ctx: RingContext) -> Outcomes:

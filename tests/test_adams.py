@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenring import (
+    ContextMismatchError,
     DivisibilityError,
     GreenElement,
     IndexRangeError,
@@ -117,6 +118,11 @@ class TestSpread:
     def test_support_checked(self):
         with pytest.raises(SupportError):
             spread(CTX3, 0, 1, basis_element(CTX3, 2))
+
+    def test_rejects_element_of_another_context(self):
+        # spread(CTX7, 0, 1, V1 of (3,2)) was V2 of (7,2)
+        with pytest.raises(ContextMismatchError):
+            spread(CTX7, 0, 1, basis_element(CTX3, 1))
 
     def test_range_checked(self):
         with pytest.raises(IndexRangeError):
@@ -397,6 +403,12 @@ class TestAdamsOnGenerator:
         got = adams_on_generator(CTX3, 3, 0)
         assert dim(got) == 2  # dimension preserved even where the folded map is undefined
 
+    @pytest.mark.parametrize("n", [True, 2.5, "3"])
+    def test_rejects_non_integer_exponent(self, n):
+        # True was read as 1, and 2.5 reached the Dickson recursion
+        with pytest.raises(IndexRangeError, match="is not an integer"):
+            adams_on_generator(CTX7, n, 0)
+
     def test_spread_ladder(self):
         # evaluating the degree-i value against V_r spreads it by i*p^m
         for ctx in (CTX3, CTX7):
@@ -512,6 +524,16 @@ class TestShapeCheck:
 class TestZeroAndLinearity:
     def test_adams_of_zero(self):
         assert adams(CTX3, 2, zero(CTX3)).is_zero()
+
+    @pytest.mark.parametrize("n, error", [
+        (7, DivisibilityError), (0, DivisibilityError),
+        (2.5, IndexRangeError), (True, IndexRangeError),
+    ])
+    def test_zero_element_checks_exponent(self, n, error):
+        # the exponent is checked before the terms are read, so the zero
+        # element has no exemption
+        with pytest.raises(error):
+            adams(CTX7, n, zero(CTX7))
 
     def test_linear_combination(self):
         w = 2 * basis_element(CTX3, 5) - basis_element(CTX3, 3)

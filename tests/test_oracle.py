@@ -35,7 +35,7 @@ from greenring import (
     wedge_decomposition,
     zero,
 )
-from greenring import gfp, oracle
+from greenring import gfp
 from greenring.core import basis_product
 
 SEED_PAIRS = 20090912
@@ -322,11 +322,10 @@ class TestInducedPowers:
         assert rep.to_element().is_zero()
         assert set(rep.rank_profile) == {0}
 
-    def test_split_route_agrees_across_contexts(self, ctx33, ctx72, monkeypatch):
+    def test_split_route_agrees_across_contexts(self, ctx33, ctx72):
         # at odd p the swap splits V_r tensor V_r into its exterior and
         # symmetric squares; pair_product reads the tensor from chain-ring Smith
         # valuations, independent of the wedge/sym matrices
-        monkeypatch.setattr(oracle, "_POWER_CACHE", {})
         cases = [(ctx33, (14, 20, 27)), (ctx72, (16, 22)), (CTX5, (17, 25))]
         cases += [(ctx, range(2, 14)) for ctx in (ctx33, CTX5, ctx72)]
         for ctx, rs in cases:
@@ -338,7 +337,6 @@ class TestInducedPowers:
     def test_cap_applies_to_requested_half(self, monkeypatch):
         # each half is checked against the cap at its own dimension:
         # wedge^2(V6) is 15-dimensional, sym^2(V6) 21-dimensional
-        monkeypatch.setattr(oracle, "_POWER_CACHE", {})
         monkeypatch.setenv("GREENRING_ORACLE_CAP", "15")
         assert dim(wedge_decomposition(CTX5, 2, 6).to_element()) == 15
         with pytest.raises(OracleCapacityError):
@@ -347,7 +345,6 @@ class TestInducedPowers:
     def test_square_takes_matrix_route(self, ctx24, monkeypatch):
         # every square, at p = 2 and at odd p, decomposes its induced matrix;
         # no power decomposition reaches the chain-ring Smith valuations
-        monkeypatch.setattr(oracle, "_POWER_CACHE", {})
         monkeypatch.setattr(gfp, "smith_chain_valuations", _route_not_taken)
         for ctx in (ctx24, CTX5):
             for r in (2, 5, 9, 16):
