@@ -23,12 +23,17 @@ There are two routes, one per job, and both fill one memo per context:
   dict, so a value costs time in the supports involved, not in q.
 - adams_table runs the level identity for every value at once: a level is a
   pair of dense int32 arrays per block of r, and each step k is two slice
-  additions, one per spread.  A spread never writes one index twice, so a
-  slice addition is exact.  A value at level m + 1 is a sum of at most p
-  spreads of values at levels <= m, each adding at most one term to an
-  index, so by induction every multiplicity of a value on V_s, and of each
-  partial sum the arrays hold, is at most p^level(s) <= q in magnitude:
-  int32 is exact far beyond the order cap.
+  additions, one per spread.  Every block works in views of one working
+  set (the two accumulator planes and a read-out buffer) that the table
+  allocates once, sized for its largest block: an array of 128 KiB or more
+  is mapped afresh on each allocation, so arrays made per block would fault
+  their pages in again on every block (about 3,300 minor faults for a cold
+  (2,10) table, against about 200).  A spread never writes one index
+  twice, so a slice addition is exact.  A value at level m + 1 is a sum of
+  at most p spreads of values at levels <= m, each adding at most one term
+  to an index, so by induction every multiplicity of a value on V_s, and of
+  each partial sum the arrays hold, is at most p^level(s) <= q in
+  magnitude: int32 is exact far beyond the order cap.
 """
 
 from __future__ import annotations
@@ -58,9 +63,9 @@ from .errors import (
 from .polynomials import dickson_first
 
 # after the package's own modules: the benchmark worker, having imported
-# greenring and greenring.cli, is ready at gc.get_count() (549, 10, 4) this
-# way and at (0, 11, 4) with numpy first, which brings its first
-# generation-1 collection of the cyclic collector (about 1.5 ms) about 150
+# greenring and greenring.cli, is ready at gc.get_count() (482, 10, 4) this
+# way and at (685, 10, 4) with numpy first, which brings its first
+# generation-1 collection of the cyclic collector (about 1.5 ms) about 200
 # allocations sooner, into the first ring operations
 import numpy as np
 
@@ -211,41 +216,55 @@ def adams_table(ctx: RingContext, n: int) -> list[GreenElement]:
     returned as that same object, so adams_basis after a table is a cache
     hit.  Each level runs the level identity of the module docstring on
     dense int32 blocks of r, two slice additions per step k; multiplicities
-    stay within q in magnitude, so int32 is exact.
+    stay within q in magnitude, so int32 is exact.  Every block works in
+    views of one working set, allocated once per call and sized for the
+    largest block, since an array of 128 KiB or more is mapped afresh on
+    each allocation and would fault its pages in again on every block.
     """
     n = fold_exponent(ctx, _check_exponent(ctx, n))
     cache = _context_cache(ctx)
     memo = [cache.get((n, s)) for s in range(1, ctx.order + 1)]
     if all(v is not None for v in memo):
         return memo
-    offsets = _spread_offsets(ctx, n)
-    units = _unit_terms(ctx.order)
-    table = [basis_element(ctx, 1)]
+    p = ctx.p
+    blocks = []  # (q, lo, h, steps): the h rows r = lo..lo+h-1 of level q
+    plane = out = 0  # int32 cells of the largest accumulator plane and read-out
     q = 1
     while q < ctx.order:
-        table += [None] * ((ctx.p - 1) * q)
-        rows = max(1, min(q, _BLOCK_CELLS // (ctx.p * q + 1)))
+        width = p * q + 1
+        rows = max(1, min(q, _BLOCK_CELLS // width))
         for lo in range(1, q + 1, rows):
-            _level_block(ctx, table, offsets, units, q, lo, min(lo + rows, q + 1))
-        q *= ctx.p
+            h = min(rows, q + 1 - lo)
+            steps = max(1, min(p - 1, _BLOCK_CELLS // (h * width)))
+            blocks.append((q, lo, h, steps))
+            plane, out = max(plane, h * width), max(out, steps * h * width)
+        q *= p
+    planes, readout = np.empty(2 * plane, np.int32), np.empty(out, np.int32)
+    offsets = _spread_offsets(ctx, n)
+    units = _unit_terms(ctx.order)
+    table = [basis_element(ctx, 1)] + [None] * (ctx.order - 1)
+    for q, lo, h, steps in blocks:
+        _level_block(ctx, table, offsets, units, q, lo, lo + h, steps, planes, readout)
     return [cache.setdefault((n, s), v) for s, v in enumerate(table, 1)]
 
 
 def _level_block(ctx: RingContext, table: list, offsets: tuple[int, ...], units: list,
-                 q: int, lo: int, hi: int) -> None:
+                 q: int, lo: int, hi: int, steps: int,
+                 planes: np.ndarray, readout: np.ndarray) -> None:
     """Fill table[s - 1] for s = k q + r, k = 1..p-1 and lo <= r < hi.
 
-    table holds the values on V_1..V_q.  The working arrays are this call's
-    locals, so they are freed before the next block allocates its own.
+    table holds the values on V_1..V_q.  The accumulators are a view of
+    planes and the rows of up to steps steps k are read out through a view
+    of readout, flat int32 arrays large enough for both.
     """
     p, h, width = ctx.p, hi - lo, ctx.p * q + 1  # column t holds V_t, for t = 0..pq
-    steps = max(1, min(p - 1, _BLOCK_CELLS // (h * width)))
     empty = zero(ctx)
     on_r = _reflected(table[lo - 1 : hi - 1], q)
     on_comp = _reflected([table[q - r - 1] if r < q else empty for r in range(lo, hi)], q)
-    acc = np.zeros((2, h, width), np.int32)
+    acc = planes[: 2 * h * width].reshape(2, h, width)
+    acc.fill(0)
     acc[0, :, 1 : q + 1] = on_r[:, q + 1 :]
-    out = np.empty((steps, h, width), np.int32)
+    out = readout[: steps * h * width].reshape(steps, h, width)
     for k in range(1, p):
         a = acc[k % 2]  # psi(V_{(k-2)q+r}), turned into psi(V_{kq+r})
         base = offsets[k] * q

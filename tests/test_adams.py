@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -211,6 +213,29 @@ def test_table_temporaries_stay_small(p, nu, n):
     finally:
         tracemalloc.stop()
     assert peak - retained < 1 << 20, (peak - retained) / (1 << 20)
+
+
+# run in a fresh interpreter, so no earlier table has faulted in the pages
+COLD_TABLE_FAULTS = """
+import resource
+from greenring import RingContext, adams_table
+
+ctx = RingContext(2, 10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+adams_table(ctx, 5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+def test_cold_table_faults_its_working_set_in_once():
+    # every block works in one working set: per-block arrays of 128 KiB or
+    # more are mapped afresh and fault in again, 3,300-4,000 minor faults
+    # for this table against about 200 with one working set
+    proc = subprocess.run([sys.executable, "-c", COLD_TABLE_FAULTS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
 
 
 def test_table_readout_keeps_wide_multiplicities():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -440,6 +441,22 @@ class TestDeterminism:
     def test_entry_point_exit_code(self):
         code, out, _ = run_cli(["psi", "--p", "5", "--nu", "1", "--n", "5", "--s", "2"])
         assert code == 2
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_closed_pipe_ends_quietly(self):
+        # a reader that stops after one line, as `| head -1` does, ends the
+        # process through SIGPIPE, as it ends cat, not as an internal error
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "greenring", "table", "--p", "31", "--nu", "2", "--n", "11"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"s,dim,expression\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+        assert stderr == b""
 
 
 HELP = """\
