@@ -46,6 +46,7 @@ from itertools import chain
 from .core import (
     GreenElement,
     RingContext,
+    _check_context,
     _check_support,
     _integer,
     _unit_terms,
@@ -55,11 +56,7 @@ from .core import (
     ring_generator,
     zero,
 )
-from .errors import (
-    ContextMismatchError,
-    DivisibilityError,
-    IndexRangeError,
-)
+from .errors import DivisibilityError, IndexRangeError
 from .polynomials import dickson_first
 
 # after the package's own modules: the benchmark worker, having imported
@@ -325,18 +322,17 @@ def _block_elements(ctx: RingContext, block: np.ndarray, units: list) -> list[Gr
 def adams(ctx: RingContext, n: int, w: GreenElement) -> GreenElement:
     """The n-th Adams operation, extended Z-linearly to any element.
 
-    Requires p not dividing n, checked for every w, the zero element too;
-    the exponent is folded as in adams_basis.
+    Requires p not dividing n, checked once per call, for the zero element
+    too; the exponent is folded as in adams_basis.
     """
-    if w.ctx != ctx:
-        raise ContextMismatchError("element belongs to a different context")
-    n = _check_exponent(ctx, n)
+    _check_context(ctx, w)
+    n = fold_exponent(ctx, _check_exponent(ctx, n))
     if len(w.terms) == 1 and w.terms[0][1] == 1:
         # a basis module: the memoized value itself rather than a copy of it
-        return adams_basis(ctx, n, w.terms[0][0])
+        return _adams_basis(ctx, n, w.terms[0][0])
     acc: dict[int, int] = {}
     for s, c in w.terms:
-        for t, v in adams_basis(ctx, n, s).terms:
+        for t, v in _adams_basis(ctx, n, s).terms:
             acc[t] = acc.get(t, 0) + c * v
     return GreenElement._from_dict(ctx, acc)
 

@@ -11,8 +11,10 @@ verify  run a named identity sweep; exit 0 iff every clause passes
 
 Exit codes: 0 success / all checks pass, 1 internal failure or a violated
 identity, 2 usage or validation error.  The CLI does not re-check the
-arguments it hands to the library: an out-of-range --s, exponent or degree
-is reported by the library check that owns it, as "error: <its message>".
+arguments it hands to the library: a bad --p or --nu, an out-of-range --s,
+exponent or degree, or a malformed literal is reported by the library check
+that owns it, as "error: <its message>"; main is the one place that maps a
+GreenRingError to exit 2.
 """
 
 from __future__ import annotations
@@ -110,13 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context(args: argparse.Namespace) -> RingContext:
-    try:
-        return RingContext(args.p, args.nu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _input_element(ctx: RingContext, args: argparse.Namespace) -> GreenElement:
     if getattr(args, "s", None) is not None:
         return basis_element(ctx, ctx.check_index(args.s, "--s"))
@@ -131,14 +126,14 @@ def _emit_element(value: GreenElement, fmt: str) -> None:
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
-    ctx = _context(args)
+    ctx = RingContext(args.p, args.nu)
     w = _input_element(ctx, args)
     _emit_element(adams(ctx, args.n, w), args.format)
     return 0
 
 
 def _cmd_mul(args: argparse.Namespace) -> int:
-    ctx = _context(args)
+    ctx = RingContext(args.p, args.nu)
     a = parse_element(ctx, args.a)
     b = parse_element(ctx, args.b)
     _emit_element(multiply(a, b), args.format)
@@ -146,7 +141,7 @@ def _cmd_mul(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace, kind: str) -> int:
-    ctx = _context(args)
+    ctx = RingContext(args.p, args.nu)
     w = _input_element(ctx, args)
     func = exterior_power if kind == "lambda" else symmetric_power
     _emit_element(func(ctx, args.n, w), args.format)
@@ -154,7 +149,7 @@ def _cmd_power(args: argparse.Namespace, kind: str) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    ctx = _context(args)
+    ctx = RingContext(args.p, args.nu)
     chunks = _table_chunks(ctx, args.n, adams_table(ctx, args.n), args.format)
     if args.out:
         try:
@@ -210,7 +205,7 @@ def _table_chunks(ctx: RingContext, n: int, values: list[GreenElement], fmt: str
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .suites import NotApplicableError, run_suite
 
-    ctx = _context(args)
+    ctx = RingContext(args.p, args.nu)
     try:
         reports = run_suite(ctx, args.suite)
     except NotApplicableError as exc:
@@ -245,9 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_power(args, args.command)
         if args.command == "table":
             return _cmd_table(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _cmd_verify(args)
     except (UsageError, GreenRingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from numbers import Integral
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    ContextError,
     ContextMismatchError,
     IndexRangeError,
     ParseError,
@@ -88,19 +89,22 @@ class RingContext:
     order: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _integer(self.p, "p", ValueError))
-        object.__setattr__(self, "nu", _integer(self.nu, "nu", ValueError))
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.nu < 1:
-            raise ValueError(f"nu must be >= 1, got {self.nu}")
-        # multiply up to the cap only: p**nu for a huge nu has millions of digits
+        object.__setattr__(self, "p", _integer(self.p, "p", ContextError))
+        object.__setattr__(self, "nu", _integer(self.nu, "nu", ContextError))
+        # multiply up to the cap only: p**nu for a huge nu has millions of
+        # digits.  Trial division (sqrt(p) steps) runs only on a p within the
+        # cap: a larger one has been refused here, or has nu < 1, refused
+        # last.  A p below 2 skips the loop, as its powers never pass the cap
         cap = order_cap()
         order = 1
-        for _ in range(self.nu):
+        for _ in range(self.nu if self.p > 1 else 0):
             order *= self.p
             if order > cap:
-                raise ValueError(f"group order {self.p}^{self.nu} exceeds cap {cap}")
+                raise ContextError(f"group order {self.p}^{self.nu} exceeds cap {cap}")
+        if self.p <= cap and not _is_prime(self.p):
+            raise ContextError(f"p must be prime, got {self.p}")
+        if self.nu < 1:
+            raise ContextError(f"nu must be >= 1, got {self.nu}")
         object.__setattr__(self, "order", order)
 
     def check_index(self, r, what: str = "index") -> int:
@@ -243,14 +247,8 @@ class GreenElement:
     def dim(self) -> int:
         return sum(r * c for r, c in self.terms)
 
-    def _check_ctx(self, other: "GreenElement") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError(
-                f"mixed contexts {self.ctx} and {other.ctx}"
-            )
-
     def _combine(self, other: "GreenElement", sign: int) -> "GreenElement":
-        self._check_ctx(other)
+        _check_context(self.ctx, other)
         acc = dict(self.terms)
         for r, c in other.terms:
             acc[r] = acc.get(r, 0) + sign * c
@@ -391,9 +389,15 @@ def basis_product(p: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple([(t, acc[t]) for t in sorted(acc)])
 
 
+def _check_context(ctx: RingContext, a: GreenElement) -> None:
+    """Raise ContextMismatchError unless a is an element of ctx."""
+    if a.ctx != ctx:
+        raise ContextMismatchError(f"mixed contexts {ctx} and {a.ctx}")
+
+
 def multiply(x: GreenElement, y: GreenElement) -> GreenElement:
     """Product in the Green ring: the bilinear extension of basis_product."""
-    x._check_ctx(y)
+    _check_context(x.ctx, y)
     p = x.ctx.p
     acc: dict[int, int] = {}
     for r, cr in x.terms:
@@ -441,8 +445,7 @@ def ring_generator(ctx: RingContext, m: int) -> GreenElement:
 
 def _check_support(ctx: RingContext, m: int, a: GreenElement) -> int:
     """p^m, after checking that a is an element of ctx supported on V_1..V_{p^m}."""
-    if a.ctx != ctx:
-        raise ContextMismatchError(f"mixed contexts {ctx} and {a.ctx}")
+    _check_context(ctx, a)
     m = _integer(m, "subring level")
     if not 0 <= m <= ctx.nu:
         raise IndexRangeError(f"subring level {m} outside 0..{ctx.nu}")
@@ -469,9 +472,8 @@ def congruent_mod_regular(m: int, a: GreenElement, b: GreenElement) -> bool:
     Such a congruence pins the multiple exactly: the difference must equal
     p^{-m} * dim(a - b) times V_{p^m}.
     """
-    a._check_ctx(b)
     pm = _check_support(a.ctx, m, a)
-    _check_support(b.ctx, m, b)
+    _check_support(a.ctx, m, b)
     diff = a - b
     return all(r == pm for r in diff.support())
 
@@ -560,9 +562,14 @@ def parse_element(ctx: RingContext, text: str) -> GreenElement:
         if not m or (not first and m.group(1) is None):
             raise ParseError(f"bad element literal {text!r} at offset {pos}")
         sign = -1 if m.group(1) == "-" else 1
-        mag = int(m.group(2)) if m.group(2) else 1
-        r = ctx.check_index(int(m.group(3)))
-        terms.append((r, sign * mag))
+        try:
+            mag = int(m.group(2)) if m.group(2) else 1
+            r = int(m.group(3))
+        except ValueError as exc:  # only the interpreter's digit limit refuses [0-9]+
+            raise ParseError(
+                f"integer in element literal at offset {pos} has too many digits"
+            ) from exc
+        terms.append((ctx.check_index(r), sign * mag))
         pos = m.end()
         first = False
     return GreenElement.from_terms(ctx, terms)

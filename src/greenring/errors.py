@@ -5,6 +5,10 @@ class GreenRingError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ContextError(GreenRingError, ValueError):
+    """p is not a prime, nu is not an integer >= 1, or p^nu exceeds the order cap."""
+
+
 class ContextMismatchError(GreenRingError, ValueError):
     """Two elements from different ring contexts were combined."""
 

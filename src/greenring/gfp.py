@@ -46,13 +46,6 @@ def jordan_block(r: int) -> np.ndarray:
     return m
 
 
-def kron_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The Kronecker product of a and b, reduced mod p in place."""
-    out = np.kron(a, b)
-    out %= p
-    return out
-
-
 def reduced(m, p: int, dtype) -> np.ndarray:
     """m mod p as a new C-ordered array of the given dtype.
 

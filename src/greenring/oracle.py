@@ -26,7 +26,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import gfp
-from .core import GreenElement, RingContext, _is_integer, env_cap
+from .core import GreenElement, RingContext, _is_integer, env_cap, to_dict
 from .core import multiply  # noqa: F401  (greenring.oracle.multiply stays importable)
 from .errors import (
     IndexRangeError,
@@ -106,12 +106,7 @@ class DecompositionReport:
         return JordanModule(self.ctx, tuple(blocks))
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.ctx.p,
-            "nu": self.ctx.nu,
-            "coeffs": {str(r): m for r, m in self.multiplicities},
-            "rank_profile": list(self.rank_profile),
-        }
+        return {**to_dict(self.to_element()), "rank_profile": list(self.rank_profile)}
 
 
 def realize(ctx: RingContext, r: int) -> np.ndarray:
@@ -141,7 +136,9 @@ def tensor(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two module matrices."""
     a, b = _module_matrix(a, ctx.p, np.int64), _module_matrix(b, ctx.p, np.int64)
     _check_capacity(a.shape[0] * b.shape[0])
-    return gfp.kron_mod(a, b, ctx.p)
+    out = np.kron(a, b)
+    out %= ctx.p
+    return out
 
 
 def _column_supports(a: np.ndarray) -> list[list[tuple[int, int]]]:

@@ -106,16 +106,23 @@ class IntPolynomial:
 T_POLY = IntPolynomial((0, 1))
 
 
+def _dickson(h0: IntPolynomial, h1: IntPolynomial, n: int) -> IntPolynomial:
+    """h_n of h_k = t*h_{k-1} - h_{k-2} from the seeds h_0, h_1, built bottom-up.
+
+    A loop, not a recursion, so no index runs into the interpreter's
+    recursion limit.
+    """
+    for _ in range(n):
+        h0, h1 = h1, T_POLY * h1 - h0
+    return h0
+
+
 @lru_cache(maxsize=None)
 def dickson_first(n: int) -> IntPolynomial:
     """Dickson polynomial of the first kind: seeds 2 and t."""
     if n < 0:
         raise ValueError(f"first-kind index must be >= 0, got {n}")
-    if n == 0:
-        return IntPolynomial((2,))
-    if n == 1:
-        return T_POLY
-    return T_POLY * dickson_first(n - 1) - dickson_first(n - 2)
+    return _dickson(IntPolynomial((2,)), T_POLY, n)
 
 
 @lru_cache(maxsize=None)
@@ -123,10 +130,4 @@ def dickson_second(n: int) -> IntPolynomial:
     """Dickson polynomial of the second kind: seeds 0 (at n = -1), 1 and t."""
     if n < -1:
         raise ValueError(f"second-kind index must be >= -1, got {n}")
-    if n == -1:
-        return IntPolynomial()
-    if n == 0:
-        return IntPolynomial((1,))
-    if n == 1:
-        return T_POLY
-    return T_POLY * dickson_second(n - 1) - dickson_second(n - 2)
+    return _dickson(IntPolynomial(), IntPolynomial((1,)), n + 1)

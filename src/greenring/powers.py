@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adams import adams
-from .core import GreenElement, RingContext, _integer, multiply, one
+from .core import GreenElement, RingContext, _integer, basis_element, multiply, one
 from .errors import GreenRingError, IndexRangeError
 
 
@@ -131,8 +131,6 @@ def gow_laffey_check(ctx: RingContext, m: int, r: int) -> ReciprocityVerdict:
     q = ctx.p**m
     if not 1 <= r <= q:
         raise IndexRangeError(f"index {r} outside 1..{q}")
-    from .core import basis_element
-
     v_r = basis_element(ctx, r)
     v_comp = basis_element(ctx, q - r)
     v_q = basis_element(ctx, q)

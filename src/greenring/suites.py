@@ -119,8 +119,7 @@ def paired_structure_ok(ctx: RingContext, n: int, s: int, m: int) -> bool:
         ref, other = b_val, a_val
     if len(ref.terms) % 2 == 0 or not signs_alternate(ref):
         return False
-    reflected = GreenElement.from_terms(ctx, [(pm - r, c) for r, c in ref.items()])
-    return other == reflected
+    return other == heller(m, ref)
 
 
 def _random_element(ctx: RingContext, rng: random.Random, max_index: int, terms: int = 3) -> GreenElement:

@@ -22,6 +22,7 @@ from greenring import (
     basis_element,
     clear_cache,
     congruent_mod_regular,
+    dickson_first,
     dim,
     fold_exponent,
     format_element,
@@ -423,6 +424,14 @@ class TestAdamsOnGenerator:
                 assert adams_on_generator(CTX3, n, m) == adams(
                     CTX3, n, ring_generator(CTX3, m)
                 )
+
+    def test_high_exponent_from_cold_caches(self):
+        # the Dickson polynomial of index n was built by n nested calls: a
+        # cold dickson_first(1501) raised RecursionError
+        dickson_first.cache_clear()
+        clear_cache(CTX3)
+        for m in range(CTX3.nu):
+            assert adams_on_generator(CTX3, 1501, m) == adams(CTX3, 1501, ring_generator(CTX3, m))
 
     def test_defined_for_p_divisible_degrees(self):
         got = adams_on_generator(CTX3, 3, 0)

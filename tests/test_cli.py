@@ -129,6 +129,20 @@ class TestMulCommand:
         out, err = capsys.readouterr()
         assert not out and "empty element literal" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter reads integers of any length")
+    @pytest.mark.parametrize("argv", [
+        ["mul", "--p", "3", "--nu", "1", "--a", "9" * 5000 + "V1", "--b", "V1"],
+        ["psi", "--p", "3", "--nu", "1", "--n", "1", "--element", "V" + "9" * 5000],
+    ], ids=["multiplicity", "index"])
+    def test_oversized_integer_in_literal_exits_two(self, argv, capsys):
+        # int() refused past the 4,300-digit limit with a bare ValueError,
+        # which was reported as an internal error with exit 1
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == "error: integer in element literal at offset 0 has too many digits\n"
+
     def test_product_beyond_oracle_cap(self, capsys):
         # induced dimension 250000 exceeds the oracle cap; multiply needs no matrix
         assert main(["mul", "--p", "31", "--nu", "2", "--a", "V500", "--b", "V500"]) == 0

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,22 +8,27 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from greenring import (
+    ContextError,
     ContextMismatchError,
     GreenElement,
+    GreenRingError,
     IndexRangeError,
     ParseError,
     RingContext,
     SettingError,
     SupportError,
+    adams,
     basis_element,
     congruent_mod_regular,
     dim,
     format_element,
     from_dict,
     heller,
+    multiply,
     parse_element,
     ring_generator,
     scale,
+    spread,
     to_dict,
     zero,
 )
@@ -70,6 +77,24 @@ class TestRingContext:
         # as 4.7 million digits
         with pytest.raises(ValueError, match=r"^group order 3\^10000000 exceeds cap 1024$"):
             RingContext(3, 10**7)
+
+    @pytest.mark.parametrize("p, nu", [(4, 1), (3, 0), (2, 11)])
+    def test_bad_context_is_a_library_error(self, p, nu):
+        # a bare ValueError, which the CLI had to re-wrap to exit 2
+        with pytest.raises(ContextError) as exc:
+            RingContext(p, nu)
+        assert isinstance(exc.value, GreenRingError) and isinstance(exc.value, ValueError)
+
+    def test_large_prime_refused_at_once(self):
+        # trial division up to sqrt(2**61 - 1) ran before the cap was tested
+        code = "from greenring import RingContext\nRingContext(2**61 - 1, 1)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(
+            "ContextError: group order 2305843009213693951^1 exceeds cap 1024\n"
+        )
 
     def test_level(self):
         ctx = RingContext(3, 3)
@@ -306,6 +331,29 @@ class TestHeller:
         assert congruent_mod_regular(m, heller(m, heller(m, w)), w)
 
 
+OTHER = RingContext(5, 2)
+
+
+class TestContextAgreement:
+    # one check owns the message; adams said "element belongs to a different
+    # context".  heller takes its context from its argument, so it has none
+    # to mismatch
+    @pytest.mark.parametrize("call", [
+        lambda x, y: adams(CTX, 2, y),
+        lambda x, y: spread(CTX, 0, 1, y),
+        lambda x, y: multiply(x, y),
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: congruent_mod_regular(0, x, y),
+    ], ids=["adams", "spread", "multiply", "add", "sub", "congruent"])
+    def test_mixed_contexts_rejected(self, call):
+        x, y = basis_element(CTX, 1), basis_element(OTHER, 1)
+        with pytest.raises(ContextMismatchError, match=(
+            r"^mixed contexts RingContext\(p=3, nu=2\) and RingContext\(p=5, nu=2\)$"
+        )):
+            call(x, y)
+
+
 class TestCongruence:
     def test_multiple_of_regular(self):
         assert congruent_mod_regular(2, basis_element(CTX, 9), zero(CTX))
@@ -334,6 +382,10 @@ class TestSerialization:
     def test_from_dict_rejects_bad_index(self):
         with pytest.raises(IndexRangeError):
             from_dict({"p": 3, "nu": 2, "coeffs": {"10": 1}})
+
+    def test_from_dict_composite_p_is_a_library_error(self):
+        with pytest.raises(ContextError, match="^p must be prime, got 4$"):
+            from_dict({"p": 4, "nu": 1, "coeffs": {}})
 
     def test_from_dict_rejects_float_p(self):
         with pytest.raises(ParseError):

@@ -81,6 +81,14 @@ class TestFamilies:
             acc = acc + (dickson_first(1) if n % 2 else IntPolynomial((1,)))
             assert dickson_second(n) == acc
 
+    def test_high_index_from_a_cold_cache(self):
+        # both families were built by one nested call per index: a cold
+        # index of 1501 raised RecursionError
+        for family in (dickson_first, dickson_second):
+            family.cache_clear()
+            g = family(1501)
+            assert g.degree == 1501 and g.coeffs[-1] == 1
+
     def test_same_recurrence(self):
         t = IntPolynomial((0, 1))
         for n in range(2, 12):
