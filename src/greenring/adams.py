@@ -16,20 +16,26 @@ all but their two newest spreads, which gives the level identity
 
 with psi(V_r) at k = 0 and 0 at k = -1.
 
-There are two routes, one per job, and both fill one memo per context:
+There are two routes, one per job:
 
 - adams_basis (and adams, for products and single values) runs the sum
   above for one value, adding its spreads straight into one accumulator
-  dict, so a value costs time in the supports involved, not in q.
-- adams_table runs the level identity for every value at once: a level is a
-  pair of dense int32 arrays per block of r, and each step k is two slice
-  additions, one per spread.  Every block works in views of one working
-  set (the two accumulator planes and a read-out buffer) that the table
-  allocates once, sized for its largest block: an array of 128 KiB or more
-  is mapped afresh on each allocation, so arrays made per block would fault
-  their pages in again on every block (about 3,300 minor faults for a cold
-  (2,10) table, against about 200).  A spread never writes one index
-  twice, so a slice addition is exact.  A value at level m + 1 is a sum of
+  dict, so a value costs time in the supports involved, not in q.  It
+  memoizes each value per context.
+- the table kernel _table runs the level identity for every value of one
+  fold class at once.  It has three readers: adams_table (the `table`
+  command), which leaves the values in the memo; the exponent sweeps of
+  the suites (dimension, reciprocity, shape), which read one table per fold
+  class and leave the memo as they found it; and, through adams_table, the
+  memo itself, which adams_basis then hits.  A level is a pair of dense
+  int32 arrays per block of r, and each step k is two slice additions, one
+  per spread.  Every block works in views of one working set (the two
+  accumulator planes and a read-out buffer) that the table allocates once,
+  sized for its largest block: an array of 128 KiB or more is mapped
+  afresh on each allocation, so arrays made per block would fault their
+  pages in again on every block (about 3,300 minor faults for a cold (2,10)
+  table, against about 200).  A spread never writes one index twice, so a
+  slice addition is exact.  A value at level m + 1 is a sum of
   at most p spreads of values at levels <= m, each adding at most one term
   to an index, so by induction every multiplicity of a value on V_s, and of
   each partial sum the arrays hold, is at most p^level(s) <= q in
@@ -211,18 +217,27 @@ def adams_table(ctx: RingContext, n: int) -> list[GreenElement]:
     Requires p not dividing n; the exponent is folded as in adams_basis.
     Every value is left in the memo, and a value already memoized is
     returned as that same object, so adams_basis after a table is a cache
-    hit.  Each level runs the level identity of the module docstring on
-    dense int32 blocks of r, two slice additions per step k; multiplicities
-    stay within q in magnitude, so int32 is exact.  Every block works in
-    views of one working set, allocated once per call and sized for the
-    largest block, since an array of 128 KiB or more is mapped afresh on
-    each allocation and would fault its pages in again on every block.
+    hit.  The values come from _table unless all of them are memoized.
     """
     n = fold_exponent(ctx, _check_exponent(ctx, n))
     cache = _context_cache(ctx)
     memo = [cache.get((n, s)) for s in range(1, ctx.order + 1)]
     if all(v is not None for v in memo):
         return memo
+    return [cache.setdefault((n, s), v) for s, v in enumerate(_table(ctx, n), 1)]
+
+
+def _table(ctx: RingContext, f: int) -> list[GreenElement]:
+    """The f-th Adams operation on V_1..V_q, in order, for f folded into 1..p-1.
+
+    The table kernel: it neither reads nor fills the memo.  Each level runs
+    the level identity of the module docstring on dense int32 blocks of r,
+    two slice additions per step k; multiplicities stay within q in
+    magnitude, so int32 is exact.  Every block works in views of one working
+    set, allocated once per call and sized for the largest block, since an
+    array of 128 KiB or more is mapped afresh on each allocation and would
+    fault its pages in again on every block.
+    """
     p = ctx.p
     blocks = []  # (q, lo, h, steps): the h rows r = lo..lo+h-1 of level q
     plane = out = 0  # int32 cells of the largest accumulator plane and read-out
@@ -237,12 +252,12 @@ def adams_table(ctx: RingContext, n: int) -> list[GreenElement]:
             plane, out = max(plane, h * width), max(out, steps * h * width)
         q *= p
     planes, readout = np.empty(2 * plane, np.int32), np.empty(out, np.int32)
-    offsets = _spread_offsets(ctx, n)
+    offsets = _spread_offsets(ctx, f)
     units = _unit_terms(ctx.order)
     table = [basis_element(ctx, 1)] + [None] * (ctx.order - 1)
     for q, lo, h, steps in blocks:
         _level_block(ctx, table, offsets, units, q, lo, lo + h, steps, planes, readout)
-    return [cache.setdefault((n, s), v) for s, v in enumerate(table, 1)]
+    return table
 
 
 def _level_block(ctx: RingContext, table: list, offsets: tuple[int, ...], units: list,
@@ -378,23 +393,29 @@ def signs_alternate(value: GreenElement) -> bool:
 
 
 def shape_check(ctx: RingContext, n: int, s: int) -> ShapeVerdict:
-    """Check the structural law for the value on V_s.
+    """Check the structural law for the value on V_s (see _shape_violation)."""
+    value = adams_basis(ctx, n, s)
+    violated = _shape_violation(ctx, n, s, value)
+    return ShapeVerdict(violated is None, violated, value)
+
+
+def _shape_violation(ctx: RingContext, n: int, s: int, value: GreenElement) -> ShapeClause | None:
+    """The first clause of the structural law that value, the n-th operation on V_s, breaks.
 
     Clauses, in order: all multiplicities lie in {-1, 0, 1}; the nonzero
     multiplicities alternate in sign in descending index order starting with
     +1; the largest index is at most p^level(s); indices are all odd when n
-    is even, and all of the parity of s when n is odd.
+    is even, and all of the parity of s when n is odd.  None when all hold.
     """
-    value = adams_basis(ctx, n, s)
     terms = value.terms
     if any(abs(c) > 1 for _, c in terms):
-        return ShapeVerdict(False, ShapeClause.COEFFICIENTS, value)
+        return ShapeClause.COEFFICIENTS
     if not signs_alternate(value):
-        return ShapeVerdict(False, ShapeClause.ALTERNATION, value)
+        return ShapeClause.ALTERNATION
     bound = ctx.p ** ctx.level(s)
     if terms and terms[-1][0] > bound:
-        return ShapeVerdict(False, ShapeClause.INDEX_BOUND, value)
+        return ShapeClause.INDEX_BOUND
     want = 1 if n % 2 == 0 else s % 2
     if any(r % 2 != want for r, _ in terms):
-        return ShapeVerdict(False, ShapeClause.PARITY, value)
-    return ShapeVerdict(True, None, value)
+        return ShapeClause.PARITY
+    return None

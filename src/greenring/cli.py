@@ -182,10 +182,10 @@ def _table_chunks(ctx: RingContext, n: int, values: list[GreenElement], fmt: str
     {"p", "nu", "n", "rows": [...]}; the text of each distinct term is made
     once per table, keyed by its (shared) term tuple.  The dim field of row s
     is s itself, since dim psi^n(x) = dim x: `verify --suite dimension`
-    checks that identity for every fold class and every s,
-    tests/test_cli.py compares whole tables with dim(v) taken from the
-    per-value route, and the benchmark's checks derive each row's dimension
-    again from its expression.
+    checks that identity for every fold class and every s on the same table
+    kernel that `table` prints, tests/test_cli.py compares whole tables with
+    dim(v) taken from the per-value route, and the benchmark's checks derive
+    each row's dimension again from its expression.
     """
     if fmt == "csv":
         text = _TermText(_term_text)

@@ -15,9 +15,9 @@ import random
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .adams import adams, adams_basis, fold_exponent, shape_check, signs_alternate
+from .adams import _shape_violation, _table, adams, adams_basis, fold_exponent, signs_alternate
 from .core import (
     GreenElement,
     RingContext,
@@ -38,6 +38,10 @@ from .powers import gow_laffey_check
 
 class NotApplicableError(GreenRingError):
     """The requested suite does not apply at this context (e.g. needs odd p)."""
+
+
+class UnknownSuiteError(GreenRingError, ValueError):
+    """No suite has the requested name."""
 
 
 # a suite's stream: one (clause label, outcome) pair per case, the outcome None
@@ -135,11 +139,34 @@ def _desk_index(ctx: RingContext) -> int:
     return min(ctx.order, 2 * ctx.p)
 
 
+def _by_fold_class(ctx: RingContext, label: str, ns: list[int], cases: Sequence,
+                   failures: Callable[[int, list[GreenElement]], dict]) -> Outcomes:
+    """One clause over the exponents ns, each checked on every case in cases.
+
+    A check reads n only through the table of values on V_1..V_q at fold(n)
+    and through n's parity, which the fold keeps (n = +-fold(n) mod 2p).  So
+    the first n of each fold class, in sweep order, is checked on that
+    table by failures(n, table), which returns {case: text} for the failing
+    cases only; the table is dropped and the failures are replayed, as
+    "n=<n>, <text>", for every n of the class.
+    """
+    found: dict[int, dict] = {}
+    for n in ns:
+        f = fold_exponent(ctx, n)
+        bad = found.get(f)
+        if bad is None:
+            bad = found[f] = failures(n, _table(ctx, f))
+        for case in cases:
+            text = bad.get(case)
+            yield label, None if text is None else f"n={n}, {text}"
+
+
 def run_dimension(ctx: RingContext) -> Outcomes:
-    for n in _valid_exponents(ctx, 2 * ctx.p):
-        for s in range(1, ctx.order + 1):
-            ok = dim(adams_basis(ctx, n, s)) == s
-            yield "dimension preserved on basis", None if ok else f"n={n}, s={s}"
+    def failures(n, table):
+        return {s: f"s={s}" for s, v in enumerate(table, 1) if dim(v) != s}
+
+    yield from _by_fold_class(ctx, "dimension preserved on basis",
+                              _valid_exponents(ctx, 2 * ctx.p), range(1, ctx.order + 1), failures)
 
 
 def run_homomorphism(ctx: RingContext) -> Outcomes:
@@ -186,34 +213,34 @@ def run_symmetry(ctx: RingContext) -> Outcomes:
 def run_reciprocity(ctx: RingContext) -> Outcomes:
     if ctx.p == 2:
         raise NotApplicableError("requires odd p")
-    label = "complement sum equals the regular module (even n)"
-    for n in _valid_exponents(ctx, 2 * ctx.p):
-        if n % 2:
-            continue
-        for m in range(0, ctx.nu + 1):
+    cases = [(m, r) for m in range(ctx.nu + 1) for r in range(1, ctx.p**m + 1)]
+    empty = zero(ctx)
+
+    def failures(n, table):
+        bad = {}
+        for m, r in cases:
             pm = ctx.p**m
-            vq = basis_element(ctx, pm)
-            for r in range(1, pm + 1):
-                ok = adams_basis(ctx, n, r) + adams(ctx, n, basis_element(ctx, pm - r)) == vq
-                yield label, None if ok else f"n={n}, m={m}, r={r}"
+            comp = table[pm - r - 1] if r < pm else empty
+            if table[r - 1] + comp != basis_element(ctx, pm):
+                bad[m, r] = f"m={m}, r={r}"
+        return bad
+
+    even = [n for n in _valid_exponents(ctx, 2 * ctx.p) if n % 2 == 0]
+    yield from _by_fold_class(ctx, "complement sum equals the regular module (even n)",
+                              even, cases, failures)
 
 
 def run_shape(ctx: RingContext) -> Outcomes:
-    # shape_check reads n only through the value memoized at fold(n) and
-    # through n's parity, which the fold keeps: each (fold(n), s) is decided
-    # once, and only its violated clauses are kept
-    violated: dict[int, dict[int, str]] = {}
-    for n in _valid_exponents(ctx, ctx.order):
-        f = fold_exponent(ctx, n)
-        first = f not in violated
-        bad = violated.setdefault(f, {})
-        for s in range(1, ctx.order + 1):
-            if first:
-                verdict = shape_check(ctx, n, s)
-                if not verdict.ok:
-                    bad[s] = verdict.violated.value
-            clause = bad.get(s)
-            yield _SHAPE_LABEL, None if clause is None else f"n={n}, s={s}, clause={clause}"
+    def failures(n, table):
+        bad = {}
+        for s, value in enumerate(table, 1):
+            clause = _shape_violation(ctx, n, s, value)
+            if clause is not None:
+                bad[s] = f"s={s}, clause={clause.value}"
+        return bad
+
+    yield from _by_fold_class(ctx, _SHAPE_LABEL, _valid_exponents(ctx, ctx.order),
+                              range(1, ctx.order + 1), failures)
 
 
 def run_heller(ctx: RingContext) -> Outcomes:
@@ -378,7 +405,7 @@ def run_suite(ctx: RingContext, suite: str) -> list[SuiteReport]:
         return reports
     runner = _RUNNERS.get(suite)
     if runner is None:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise UnknownSuiteError(f"unknown suite {suite!r}")
     rep = SuiteReport(suite)
     for label, outcomes in groupby(runner(ctx), itemgetter(0)):
         rep.record(label, (failure for _, failure in outcomes))

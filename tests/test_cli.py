@@ -26,7 +26,7 @@ from greenring import (
     zero,
 )
 from greenring import suites
-from greenring.adams import ShapeClause, ShapeVerdict
+from greenring.adams import ShapeClause
 from greenring.cli import _build_parser, main
 
 WORKED_23 = (
@@ -311,26 +311,28 @@ class TestVerifyCommand:
         assert "RESULT: PASS" in out
 
     def test_failing_cases_are_counted_and_named(self, monkeypatch, capsys):
-        # two planted dimension failures and one planted shape failure: each
-        # line counts its failing cases and names the first one in sweep order;
-        # the shape sweep decides (2, 7) once and repeats the verdict for the
-        # exponents 4 and 8, which fold to 2 at p = 3
-        real_adams_basis = suites.adams_basis
-        real_shape_check = suites.shape_check
+        # one planted dimension failure and one planted shape failure, each in
+        # the fold class f = 2, which holds the exponents 2 and 4 of the
+        # dimension sweep and 2, 4 and 8 of the shape sweep at p = 3: each
+        # sweep checks a class once on its first exponent and repeats the
+        # verdict for the others, and each line counts its failing cases and
+        # names the first one in sweep order
+        real_table = suites._table
+        real_shape_violation = suites._shape_violation
 
-        def adams_basis(c, n, s, fold=True):
-            if (n, s) in ((2, 5), (4, 1)):
-                return zero(c)
-            return real_adams_basis(c, n, s, fold=fold)
+        def table(c, f):
+            values = real_table(c, f)
+            if f == 2:
+                values[4] = zero(c)
+            return values
 
-        def shape_check(c, n, s):
-            verdict = real_shape_check(c, n, s)
+        def shape_violation(c, n, s, value):
             if (n, s) == (2, 7):
-                return ShapeVerdict(False, ShapeClause.PARITY, verdict.element)
-            return verdict
+                return ShapeClause.PARITY
+            return real_shape_violation(c, n, s, value)
 
-        monkeypatch.setattr(suites, "adams_basis", adams_basis)
-        monkeypatch.setattr(suites, "shape_check", shape_check)
+        monkeypatch.setattr(suites, "_table", table)
+        monkeypatch.setattr(suites, "_shape_violation", shape_violation)
         assert main(["verify", "--p", "3", "--nu", "2", "--suite", "dimension"]) == 1
         assert capsys.readouterr().out == (
             "[dimension] dimension preserved on basis: 34/36 pass;"
@@ -364,6 +366,24 @@ class TestVerifyCommand:
         # kept its own pass/fail counters; a change to how clauses are run,
         # counted or rendered must not move a single byte
         assert main(["verify", "--p", str(p), "--nu", str(nu), "--suite", "all"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "p, nu, suite, digest",
+        [
+            (31, 2, "dimension", "c8699b2a60df341d689a71b8b5588c9f62ed24ff2bb04fa76ca20496792d5657"),
+            (31, 2, "reciprocity", "30d58aad66843e59ff85083b184d3a6c20499daa9baddcb46b135d71944ccc3e"),
+            (31, 2, "shape", "1895ce0ac9812c11c1cbd5a867fc5d864c1702577c6bf1fb314baafb2d930a93"),
+            (2, 10, "dimension", "e358cd6548ba0da47f1be81c045032a89b6b0ea1411ebc3047bc6fe132187d75"),
+            (2, 10, "shape", "04249e215abc8fd7d6b9a74a4e30e78671cd5c22c3ff3a24465943c4b63846fa"),
+        ],
+    )
+    def test_exponent_sweep_golden_digest(self, p, nu, suite, digest, capsys):
+        # SHA-256 of the stdout of the exponent sweeps as printed when they
+        # ran value by value through the memo, before they read one table
+        # per fold class
+        assert main(["verify", "--p", str(p), "--nu", str(nu), "--suite", suite]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

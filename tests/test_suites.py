@@ -1,6 +1,7 @@
 import pytest
 
-from greenring import GreenElement, RingContext, basis_element, format_element
+from greenring import GreenElement, GreenRingError, RingContext, basis_element, format_element
+from greenring.adams import _CACHE, adams_basis, clear_cache
 from greenring import suites
 from greenring.suites import SUITE_NAMES, NotApplicableError, run_suite
 
@@ -8,6 +9,8 @@ from greenring.suites import SUITE_NAMES, NotApplicableError, run_suite
 class TestRunSuite:
     def test_unknown_suite_rejected(self, ctx32):
         with pytest.raises(ValueError):
+            run_suite(ctx32, "nonsense")
+        with pytest.raises(GreenRingError):
             run_suite(ctx32, "nonsense")
 
     def test_shape_count_matches_sweep_size(self, ctx33):
@@ -71,3 +74,33 @@ class TestClauseCounting:
         )
         # every other clause still passes
         assert sum("first counterexample" in ln for ln in report.lines) == 1
+
+
+class TestExponentSweepsLeaveTheMemo:
+    # the dimension, reciprocity and shape sweeps read one table per fold
+    # class from the table kernel, so they neither fill the Adams memo nor
+    # replace what it holds
+    SWEEPS = ("dimension", "reciprocity", "shape")
+
+    @pytest.mark.parametrize("p, nu", [(7, 2), (3, 3)])
+    def test_empty_memo_stays_empty(self, p, nu):
+        ctx = RingContext(p, nu)
+        clear_cache(ctx)
+        for suite in self.SWEEPS:
+            (report,) = run_suite(ctx, suite)
+            assert report.ok
+        assert not _CACHE.get((p, nu))
+
+    @pytest.mark.parametrize("p, nu", [(7, 2), (3, 3)])
+    def test_memoized_value_stays_in_place(self, p, nu):
+        ctx = RingContext(p, nu)
+        clear_cache(ctx)
+        kept = adams_basis(ctx, 2, 5)
+        before = dict(_CACHE[(p, nu)])
+        for suite in self.SWEEPS:
+            (report,) = run_suite(ctx, suite)
+            assert report.ok
+        after = _CACHE[(p, nu)]
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
+        assert adams_basis(ctx, 2, 5) is kept
