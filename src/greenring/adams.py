@@ -21,25 +21,26 @@ There are two routes, one per job:
 - adams_basis (and adams, for products and single values) runs the sum
   above for one value, adding its spreads straight into one accumulator
   dict, so a value costs time in the supports involved, not in q.  It
-  memoizes each value per context.
+  memoizes each value per context under its folded exponent, so the memo
+  holds no exponent >= p.
 - the table kernel _table runs the level identity for every value of one
   fold class at once.  It has three readers: adams_table (the `table`
   command), which leaves the values in the memo; the exponent sweeps of
-  the suites (dimension, reciprocity, shape), which read one table per fold
-  class and leave the memo as they found it; and, through adams_table, the
-  memo itself, which adams_basis then hits.  A level is a pair of dense
-  int32 arrays per block of r, and each step k is two slice additions, one
-  per spread.  Every block works in views of one working set (the two
-  accumulator planes and a read-out buffer) that the table allocates once,
-  sized for its largest block: an array of 128 KiB or more is mapped
-  afresh on each allocation, so arrays made per block would fault their
-  pages in again on every block (about 3,300 minor faults for a cold (2,10)
-  table, against about 200).  A spread never writes one index twice, so a
-  slice addition is exact.  A value at level m + 1 is a sum of
-  at most p spreads of values at levels <= m, each adding at most one term
-  to an index, so by induction every multiplicity of a value on V_s, and of
-  each partial sum the arrays hold, is at most p^level(s) <= q in
-  magnitude: int32 is exact far beyond the order cap.
+  the suites (dimension, periodicity, symmetry, reciprocity, shape), which
+  read one table per fold class and leave the memo as they found it; and,
+  through adams_table, the memo itself, which adams_basis then hits.  A
+  level is a pair of dense int32 arrays per block of r, and each step k is
+  two slice additions, one per spread.  Every block works in views of one
+  working set (the two accumulator planes and a read-out buffer) that the
+  table allocates once, sized for its largest block: an array of 128 KiB
+  or more is mapped afresh on each allocation, so arrays made per block
+  would fault their pages in again on every block (about 3,300 minor
+  faults for a cold (2,10) table, against about 200).  A spread never
+  writes one index twice, so a slice addition is exact.  A value at level
+  m + 1 is a sum of at most p spreads of values at levels <= m, each
+  adding at most one term to an index, so by induction every multiplicity
+  of a value on V_s, and of each partial sum the arrays hold, is at most
+  p^level(s) <= q in magnitude: int32 is exact far beyond the order cap.
 """
 
 from __future__ import annotations
@@ -178,18 +179,17 @@ def _adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
     return value
 
 
-def adams_basis(ctx: RingContext, n: int, s: int, fold: bool = True) -> GreenElement:
+def adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
     """The n-th Adams operation applied to the basis module V_s.
 
-    Requires p not dividing n.  With fold=True (the default) the exponent is
-    first folded into 1..p-1, which the periodicity and reflection identities
-    make exact; fold=False runs the level recursion on the raw exponent, so
-    those identities can be verified rather than assumed.
+    Requires p not dividing n.  The exponent is folded into 1..p-1 first:
+    the recursion reads n only through the folded offsets fold_exponent(j n),
+    so the value and its memo key depend on n only through its fold class.
+    The suites check that period and reflection against the closed form of
+    Almkvist and Fossum at the raw exponent.
     """
-    n = _check_exponent(ctx, n)
-    s = ctx.check_index(s)
-    n_eff = fold_exponent(ctx, n) if fold else n
-    return _adams_basis(ctx, n_eff, s)
+    n = fold_exponent(ctx, _check_exponent(ctx, n))
+    return _adams_basis(ctx, n, ctx.check_index(s))
 
 
 def _check_exponent(ctx: RingContext, n: int) -> int:

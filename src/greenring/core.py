@@ -171,9 +171,9 @@ class GreenElement:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingContext, coeffs: Iterable[int]):
-        coeffs = tuple(_integer(c, "multiplicity", ValueError) for c in coeffs)
+        coeffs = tuple(_integer(c, "multiplicity", ParseError) for c in coeffs)
         if len(coeffs) != ctx.order:
-            raise ValueError(
+            raise ParseError(
                 f"expected {ctx.order} coefficients, got {len(coeffs)}"
             )
         object.__setattr__(self, "ctx", ctx)
@@ -209,7 +209,7 @@ class GreenElement:
         acc: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for r, c in items:
-            r, c = _integer(r, "index"), _integer(c, "multiplicity", ValueError)
+            r, c = _integer(r, "index"), _integer(c, "multiplicity", ParseError)
             if r == 0 or c == 0:
                 continue
             if r < 0:
@@ -507,7 +507,11 @@ def from_dict(data: Mapping) -> GreenElement:
     for key, c in items:
         if not isinstance(key, str) or not _INDEX_KEY_RE.fullmatch(key):
             raise ParseError(f"coefficient key {key!r} is not a decimal index")
-        r = ctx.check_index(int(key))
+        try:
+            r = int(key)
+        except ValueError as exc:  # only the interpreter's digit limit refuses a matched key
+            raise ParseError(f"coefficient key of {len(key)} characters has too many digits") from exc
+        r = ctx.check_index(r)
         terms[r] = _integer(c, f"coefficient of V{r}", ParseError)
     return GreenElement.from_terms(ctx, terms)
 

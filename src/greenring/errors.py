@@ -34,7 +34,11 @@ class OracleCapacityError(GreenRingError, ValueError):
 
 
 class ParseError(GreenRingError, ValueError):
-    """An element literal does not match the accepted grammar."""
+    """Element input is malformed.
+
+    A literal off the grammar, an element object from_dict cannot read, a
+    multiplicity that is not an integer, or a wrong number of coefficients.
+    """
 
 
 class SettingError(GreenRingError, ValueError):

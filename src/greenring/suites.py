@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .adams import _shape_violation, _table, adams, adams_basis, fold_exponent, signs_alternate
 from .core import (
@@ -140,33 +142,124 @@ def _desk_index(ctx: RingContext) -> int:
 
 
 def _by_fold_class(ctx: RingContext, label: str, ns: list[int], cases: Sequence,
-                   failures: Callable[[int, list[GreenElement]], dict]) -> Outcomes:
-    """One clause over the exponents ns, each checked on every case in cases.
+                   failures: Callable[[list[int], list[GreenElement]], dict]) -> Outcomes:
+    """One clause over the raw exponents ns, each checked on every case in cases.
 
-    A check reads n only through the table of values on V_1..V_q at fold(n)
-    and through n's parity, which the fold keeps (n = +-fold(n) mod 2p).  So
-    the first n of each fold class, in sweep order, is checked on that
-    table by failures(n, table), which returns {case: text} for the failing
-    cases only; the table is dropped and the failures are replayed, as
-    "n=<n>, <text>", for every n of the class.
+    The first time the sweep meets a fold class f, failures(group, table) is
+    called once, with the exponents of ns in that class and _table(ctx, f),
+    the values on V_1..V_q at f; it returns {n: {case: text}} for the
+    failing cases only, and the table is dropped.
     """
+    groups: dict[int, list[int]] = {}
+    for n in ns:
+        groups.setdefault(fold_exponent(ctx, n), []).append(n)
     found: dict[int, dict] = {}
     for n in ns:
         f = fold_exponent(ctx, n)
-        bad = found.get(f)
-        if bad is None:
-            bad = found[f] = failures(n, _table(ctx, f))
+        if f in groups:
+            found.update(failures(groups.pop(f), _table(ctx, f)))
+        bad = found.pop(n, {})
         for case in cases:
-            text = bad.get(case)
-            yield label, None if text is None else f"n={n}, {text}"
+            yield label, bad.get(case)
+
+
+def _class_wide(check: Callable[[int, list[GreenElement]], dict]) -> Callable:
+    """failures for _by_fold_class from a check whose verdict is one per fold class.
+
+    check(n, table) returns {case: text} for the failing cases.  It reads n
+    only through the table at fold(n) and through n's parity, which the fold
+    keeps (n = +-fold(n) mod 2p), so it runs once per class, on the class's
+    first exponent, and its failures are replayed as "n=<n>, <text>" for
+    every n of the class.
+    """
+    def failures(group, table):
+        bad = check(group[0], table)
+        return {n: {case: f"n={n}, {text}" for case, text in bad.items()} for n in group}
+
+    return failures
+
+
+def _restricted(ctx: RingContext, values: list[GreenElement]) -> np.ndarray:
+    """Each value restricted to the subgroup of order p, as an int64 row of V_1..V_p.
+
+    With m = p^(nu-1), V_{am+b} restricts to b V_{a+1} + (m-b) V_a for
+    0 <= b < m, since (g - 1)^m = g^m - 1 in characteristic p; at nu = 1 the
+    restriction is the identity.
+    """
+    p, m = ctx.p, ctx.order // ctx.p
+    sizes = [len(v.terms) for v in values]
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(v.terms for v in values)),
+                       np.int64, 2 * sum(sizes))
+    at, t, c = np.repeat(np.arange(len(values)), sizes), flat[0::2], flat[1::2]
+    out = np.zeros((len(values), p + 2), np.int64)  # column i holds V_i, V_0 = 0 and V_{p+1} unused
+    if m == 1:
+        out[at, t] = c
+    else:
+        a, b = np.divmod(t, m)
+        np.add.at(out, (at, a), (m - b) * c)
+        np.add.at(out, (at, a + 1), b * c)
+    return out[:, 1 : p + 1]
+
+
+def _af_adams(p: int, n: int) -> np.ndarray:
+    """psi^n on V_0..V_p at (p, 1) for a raw exponent n prime to p, by the closed form of [AF].
+
+    Row r holds the multiplicities of V_1..V_p in psi^n(V_r), row 0 is zero.
+    V_r is [r] = sum over i < r of z^(r-1-2i), so psi^n(V_r) is
+    (z - 1/z) [r] at z^n, read mod z^(2p) - 1: its coefficient of z^t is the
+    multiplicity of V_t for 1 <= t < p, and V_p, which maps to 0, is read
+    from the dimension r.  Since [r] = [r-2] + z^(n(r-1)) + z^(-n(r-1)), the
+    rows of one parity of r are one cumulative sum; only the powers z^0..z^p
+    are kept, the ones the coefficients read.  Integers throughout.
+    """
+    two_p = 2 * p
+    r = np.arange(2, p + 1)
+    e = (r - 1) * n % two_p  # neither e nor -e is 0 or p, and e != -e, as p does not divide n(r-1)
+    sums = np.zeros((p + 1, two_p), np.int32)  # row r, column k: the coefficient of z^k in [r], <= r
+    sums[1, 0] = 1
+    sums[r, e] = 1
+    sums[r, two_p - e] = 1
+    sums = sums[:, : p + 1]
+    np.cumsum(sums[0::2], axis=0, out=sums[0::2])
+    np.cumsum(sums[1::2], axis=0, out=sums[1::2])
+    out = np.empty((p + 1, p), np.int64)
+    out[:, :-1] = sums[:, :-2] - sums[:, 2:]
+    out[:, -1] = (np.arange(p + 1) - out[:, :-1] @ np.arange(1, p)) // p
+    return out
+
+
+def _against_closed_form(ctx: RingContext, label: str, names: dict[int, str]) -> Outcomes:
+    """One clause over the raw exponents n of names, in order, each on V_1..V_q.
+
+    Case (n, s) passes iff the table's psi^fold(n)(V_s), restricted to the
+    subgroup of order p, equals the closed form at the raw n applied to the
+    restriction of V_s; a failure reads "<names[n]>, s=<s>".  Every raw n
+    gets its own closed form, so neither residue of a fold class stands in
+    for the other.
+    """
+    basis = _restricted(ctx, [basis_element(ctx, s) for s in range(1, ctx.order + 1)])
+
+    def failures(group, table):
+        got, bad = _restricted(ctx, table), {}
+        for n in group:
+            want = _af_adams(ctx.p, n)[1:]
+            if ctx.nu > 1:  # at nu = 1 the restriction, and so basis, is the identity
+                want = basis @ want
+            wrong = np.flatnonzero((got != want).any(axis=1)) + 1
+            if wrong.size:
+                bad[n] = {s: f"{names[n]}, s={s}" for s in wrong.tolist()}
+        return bad
+
+    yield from _by_fold_class(ctx, label, list(names), range(1, ctx.order + 1), failures)
 
 
 def run_dimension(ctx: RingContext) -> Outcomes:
-    def failures(n, table):
+    def check(n, table):
         return {s: f"s={s}" for s, v in enumerate(table, 1) if dim(v) != s}
 
     yield from _by_fold_class(ctx, "dimension preserved on basis",
-                              _valid_exponents(ctx, 2 * ctx.p), range(1, ctx.order + 1), failures)
+                              _valid_exponents(ctx, 2 * ctx.p), range(1, ctx.order + 1),
+                              _class_wide(check))
 
 
 def run_homomorphism(ctx: RingContext) -> Outcomes:
@@ -195,19 +288,14 @@ def run_homomorphism(ctx: RingContext) -> Outcomes:
 
 
 def run_periodicity(ctx: RingContext) -> Outcomes:
-    for c in _valid_exponents(ctx, 2 * ctx.p):
-        for s in range(1, ctx.order + 1):
-            lhs = adams_basis(ctx, 2 * ctx.p + c, s, fold=False)
-            ok = lhs == adams_basis(ctx, c, s, fold=False)
-            yield "exponent period 2p on basis", None if ok else f"c={c}, s={s}"
+    two_p = 2 * ctx.p
+    names = {two_p + c: f"c={c}" for c in _valid_exponents(ctx, two_p)}
+    yield from _against_closed_form(ctx, "exponent period 2p on basis", names)
 
 
 def run_symmetry(ctx: RingContext) -> Outcomes:
-    for j in range(1, ctx.p):
-        for s in range(1, ctx.order + 1):
-            lhs = adams_basis(ctx, 2 * ctx.p - j, s, fold=False)
-            ok = lhs == adams_basis(ctx, j, s, fold=False)
-            yield "exponent reflection at 2p on basis", None if ok else f"j={j}, s={s}"
+    names = {2 * ctx.p - j: f"j={j}" for j in range(1, ctx.p)}
+    yield from _against_closed_form(ctx, "exponent reflection at 2p on basis", names)
 
 
 def run_reciprocity(ctx: RingContext) -> Outcomes:
@@ -216,7 +304,7 @@ def run_reciprocity(ctx: RingContext) -> Outcomes:
     cases = [(m, r) for m in range(ctx.nu + 1) for r in range(1, ctx.p**m + 1)]
     empty = zero(ctx)
 
-    def failures(n, table):
+    def check(n, table):
         bad = {}
         for m, r in cases:
             pm = ctx.p**m
@@ -227,11 +315,11 @@ def run_reciprocity(ctx: RingContext) -> Outcomes:
 
     even = [n for n in _valid_exponents(ctx, 2 * ctx.p) if n % 2 == 0]
     yield from _by_fold_class(ctx, "complement sum equals the regular module (even n)",
-                              even, cases, failures)
+                              even, cases, _class_wide(check))
 
 
 def run_shape(ctx: RingContext) -> Outcomes:
-    def failures(n, table):
+    def check(n, table):
         bad = {}
         for s, value in enumerate(table, 1):
             clause = _shape_violation(ctx, n, s, value)
@@ -240,7 +328,7 @@ def run_shape(ctx: RingContext) -> Outcomes:
         return bad
 
     yield from _by_fold_class(ctx, _SHAPE_LABEL, _valid_exponents(ctx, ctx.order),
-                              range(1, ctx.order + 1), failures)
+                              range(1, ctx.order + 1), _class_wide(check))
 
 
 def run_heller(ctx: RingContext) -> Outcomes:

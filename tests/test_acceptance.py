@@ -40,7 +40,7 @@ from greenring import (
     zero,
 )
 from greenring.polynomials import IntPolynomial
-from greenring.suites import paired_structure_ok
+from greenring.suites import _af_adams, _restricted, paired_structure_ok
 
 CONTEXTS = [RingContext(2, 4), RingContext(3, 3), RingContext(5, 2), RingContext(7, 2)]
 ODD_CONTEXTS = [c for c in CONTEXTS if c.p != 2]
@@ -98,22 +98,21 @@ def test_criterion_02_closed_forms():
 
 
 def test_criterion_03_periodicity_symmetry():
+    # psi^(2p+c) and psi^(2p-j) from the folded recursion against the [AF]
+    # closed form at the raw exponent, after restriction to the subgroup of
+    # order p
     mismatches = 0
     checked = 0
     for ctx in CONTEXTS:
-        for c in valid_exponents(ctx, 2 * ctx.p):
+        basis = _restricted(ctx, [basis_element(ctx, s) for s in range(1, ctx.order + 1)])
+        raw = [2 * ctx.p + c for c in valid_exponents(ctx, 2 * ctx.p)]
+        raw += [2 * ctx.p - j for j in range(1, ctx.p)]
+        for n in raw:
+            want = (basis @ _af_adams(ctx.p, n)[1:]).tolist()
             for s in range(1, ctx.order + 1):
                 checked += 1
-                if adams_basis(ctx, 2 * ctx.p + c, s, fold=False) != adams_basis(
-                    ctx, c, s, fold=False
-                ):
-                    mismatches += 1
-        for j in range(1, ctx.p):
-            for s in range(1, ctx.order + 1):
-                checked += 1
-                if adams_basis(ctx, 2 * ctx.p - j, s, fold=False) != adams_basis(
-                    ctx, j, s, fold=False
-                ):
+                got = _restricted(ctx, [adams_basis(ctx, n, s)])[0].tolist()
+                if got != want[s - 1]:
                     mismatches += 1
     assert mismatches == 0
     print(f"\ncriterion 3 (periodicity/symmetry, {checked} checks, 0 mismatches): PASS")

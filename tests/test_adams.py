@@ -38,6 +38,7 @@ from greenring import (
 )
 from greenring.adams import _block_elements, _context_cache, signs_alternate
 from greenring.core import _unit_terms
+from greenring.suites import _af_adams, _restricted
 
 CTX7 = RingContext(7, 2)
 CTX3 = RingContext(3, 2)
@@ -188,8 +189,9 @@ class TestRecursionMatchesSpreadRoute:
 
     @pytest.mark.parametrize("p,nu", [(3, 3), (5, 2), (7, 2), (2, 5)])
     def test_raw_exponents(self, p, nu):
-        # fold=False hands the recursion exponents beyond p, so j * n must be
-        # folded inside it, and offset 1 meets the dropped V_0 term
+        # adams_basis folds n first; the reference runs the recursion on the
+        # raw n, folding only the offsets j * n, where offset 1 meets the
+        # dropped V_0 term
         ctx = RingContext(p, nu)
         clear_cache(ctx)
         memo = {}
@@ -197,8 +199,9 @@ class TestRecursionMatchesSpreadRoute:
             if n % p == 0:
                 continue
             for s in range(1, ctx.order + 1):
-                got = adams_basis(ctx, n, s, fold=False)
+                got = adams_basis(ctx, n, s)
                 assert got == reference_adams_basis(ctx, n, s, memo), (n, s)
+        assert all(key[0] < p for key in _context_cache(ctx))
 
 
 @pytest.mark.parametrize("p, nu, n", [(2, 10, 1), (3, 6, 2), (5, 4, 2), (31, 2, 11), (1021, 1, 5)])
@@ -294,29 +297,37 @@ class TestClosedForms:
                 assert adams_basis(ctx, c, s) == basis_element(ctx, s)
 
 
+def restricted(ctx, w):
+    """w restricted to the subgroup of order p, as a list of V_1..V_p multiplicities."""
+    return _restricted(ctx, [w])[0].tolist()
+
+
+def closed_form_restricted(ctx, n, s):
+    """psi^n(V_s) restricted to the subgroup of order p, by the [AF] closed form at the raw n."""
+    return (_restricted(ctx, [basis_element(ctx, s)]) @ _af_adams(ctx.p, n)[1:])[0].tolist()
+
+
 class TestExponentLaws:
-    def test_period_two_p_unfolded(self):
+    # the folded recursion against the closed form at the raw exponent, on
+    # restriction to the subgroup of order p; the closed form reads n only
+    # through the powers z^(jn) mod z^(2p) - 1
+    def test_period_two_p(self):
         for c in (1, 2, 4, 5):
             for s in range(1, CTX3.order + 1):
-                assert adams_basis(CTX3, 2 * 3 + c, s, fold=False) == adams_basis(
-                    CTX3, c, s, fold=False
-                )
+                got = restricted(CTX3, adams_basis(CTX3, 2 * 3 + c, s))
+                assert got == closed_form_restricted(CTX3, 2 * 3 + c, s), (c, s)
 
-    def test_reflection_unfolded(self):
+    def test_reflection(self):
         for j in range(1, 7):
-            if j % 7 == 0:
-                continue
             for s in (1, 5, 23, 49):
-                assert adams_basis(CTX7, 14 - j, s, fold=False) == adams_basis(
-                    CTX7, j, s, fold=False
-                )
+                got = restricted(CTX7, adams_basis(CTX7, 14 - j, s))
+                assert got == closed_form_restricted(CTX7, 14 - j, s), (j, s)
 
-    def test_fold_agrees_with_unfolded(self):
+    def test_raw_exponents_past_two_p(self):
         for c in (4, 8, 12, 16, 20):
-            if c % 7 == 0:
-                continue
             for s in (2, 14, 23):
-                assert adams_basis(CTX7, c, s, fold=False) == adams_basis(CTX7, c, s)
+                got = restricted(CTX7, adams_basis(CTX7, c, s))
+                assert got == closed_form_restricted(CTX7, c, s), (c, s)
 
     def test_divisible_exponent_rejected(self):
         with pytest.raises(DivisibilityError):

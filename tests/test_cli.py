@@ -311,12 +311,14 @@ class TestVerifyCommand:
         assert "RESULT: PASS" in out
 
     def test_failing_cases_are_counted_and_named(self, monkeypatch, capsys):
-        # one planted dimension failure and one planted shape failure, each in
-        # the fold class f = 2, which holds the exponents 2 and 4 of the
-        # dimension sweep and 2, 4 and 8 of the shape sweep at p = 3: each
-        # sweep checks a class once on its first exponent and repeats the
-        # verdict for the others, and each line counts its failing cases and
-        # names the first one in sweep order
+        # one planted fault of the table at f = 2, V_5 read as 0, and one
+        # planted shape failure.  The class f = 2 holds the exponents 2 and 4
+        # of the dimension sweep and 2, 4 and 8 of the shape sweep at p = 3:
+        # each sweep checks a class once on its first exponent and repeats
+        # the verdict for the others.  It holds the raw exponents 8 and 10 of
+        # the period sweep (c = 2, 4) and 4 of the reflection sweep (j = 2),
+        # each checked against the closed form on its own.  Each line counts
+        # its failing cases and names the first one in sweep order
         real_table = suites._table
         real_shape_violation = suites._shape_violation
 
@@ -343,6 +345,18 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == (
             "[shape] alternating shape: 51/54 (n,s) pairs pass;"
             " first: n=2, s=7, clause=parity\n"
+            "RESULT: FAIL\n"
+        )
+        assert main(["verify", "--p", "3", "--nu", "2", "--suite", "periodicity"]) == 1
+        assert capsys.readouterr().out == (
+            "[periodicity] exponent period 2p on basis: 34/36 pass;"
+            " first counterexample: c=2, s=5\n"
+            "RESULT: FAIL\n"
+        )
+        assert main(["verify", "--p", "3", "--nu", "2", "--suite", "symmetry"]) == 1
+        assert capsys.readouterr().out == (
+            "[symmetry] exponent reflection at 2p on basis: 17/18 pass;"
+            " first counterexample: j=2, s=5\n"
             "RESULT: FAIL\n"
         )
         assert main(["verify", "--p", "3", "--nu", "2", "--suite", "all"]) == 1
@@ -377,12 +391,17 @@ class TestVerifyCommand:
             (31, 2, "shape", "1895ce0ac9812c11c1cbd5a867fc5d864c1702577c6bf1fb314baafb2d930a93"),
             (2, 10, "dimension", "e358cd6548ba0da47f1be81c045032a89b6b0ea1411ebc3047bc6fe132187d75"),
             (2, 10, "shape", "04249e215abc8fd7d6b9a74a4e30e78671cd5c22c3ff3a24465943c4b63846fa"),
+            (31, 2, "periodicity", "0653f4a1cfbd178c1e6e4d583070cb443f9710181612bf215260e2670a5e1d30"),
+            (31, 2, "symmetry", "10c3a5e8e5867d70a3d7c11e1aefdae552cf83e7cabd7b4ead95d286c5af0a19"),
+            (2, 10, "periodicity", "1ff58c5efa1620e4f66fce3b83b838c3213fbaa318ea4edc69e0f447b6472bcf"),
+            (2, 10, "symmetry", "98c94ed9c50e76e7d5e8752a6733de70724a01eb8bf2d4517a0688c3a78f6582"),
         ],
     )
     def test_exponent_sweep_golden_digest(self, p, nu, suite, digest, capsys):
         # SHA-256 of the stdout of the exponent sweeps as printed when they
         # ran value by value through the memo, before they read one table
-        # per fold class
+        # per fold class; periodicity and symmetry as printed when they
+        # compared two runs of the recursion at raw exponents
         assert main(["verify", "--p", str(p), "--nu", str(nu), "--suite", suite]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -166,6 +166,18 @@ class TestBasisElement:
         with pytest.raises(ValueError, match="is not an integer"):
             GreenElement(CTX, [bad] + [0] * (CTX.order - 1))
 
+    @pytest.mark.parametrize("build", [
+        lambda: GreenElement.from_terms(CTX, {1: 1.5}),
+        lambda: GreenElement(CTX, [1.5] + [0] * (CTX.order - 1)),
+        lambda: GreenElement(CTX, [1]),
+    ], ids=["float-term", "float-coefficient", "too-few-coefficients"])
+    def test_bad_multiplicities_are_library_errors(self, build):
+        # a non-integer multiplicity and a wrong number of coefficients
+        # raised a bare ValueError
+        with pytest.raises(ParseError) as exc:
+            build()
+        assert isinstance(exc.value, GreenRingError) and isinstance(exc.value, ValueError)
+
     def test_dense_constructor_accepts_numpy_integers(self):
         coeffs = np.zeros(CTX.order, dtype=np.int64)
         coeffs[0] = 2
@@ -399,6 +411,11 @@ class TestSerialization:
     def test_from_dict_rejects_non_int_coefficient(self, coeff):
         with pytest.raises(ParseError):
             from_dict({"p": 3, "nu": 2, "coeffs": {"3": coeff}})
+
+    def test_from_dict_key_past_digit_limit_is_a_library_error(self):
+        # int() refused the key with the interpreter's bare digit-limit ValueError
+        with pytest.raises(ParseError, match="^coefficient key of 5000 characters has too many digits$"):
+            from_dict({"p": 3, "nu": 2, "coeffs": {"9" * 5000: 1}})
 
     def test_from_dict_rejects_aliased_keys(self):
         # "03" and "3" name the same index; one term would be lost

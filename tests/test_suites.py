@@ -1,9 +1,21 @@
+import random
+
 import pytest
 
-from greenring import GreenElement, GreenRingError, RingContext, basis_element, format_element
+from greenring import (
+    GreenElement,
+    GreenRingError,
+    RingContext,
+    adams,
+    basis_element,
+    exterior_power,
+    format_element,
+    multiply,
+    symmetric_power,
+)
 from greenring.adams import _CACHE, adams_basis, clear_cache
 from greenring import suites
-from greenring.suites import SUITE_NAMES, NotApplicableError, run_suite
+from greenring.suites import SUITE_NAMES, NotApplicableError, _af_adams, _restricted, run_suite
 
 
 class TestRunSuite:
@@ -77,10 +89,9 @@ class TestClauseCounting:
 
 
 class TestExponentSweepsLeaveTheMemo:
-    # the dimension, reciprocity and shape sweeps read one table per fold
-    # class from the table kernel, so they neither fill the Adams memo nor
-    # replace what it holds
-    SWEEPS = ("dimension", "reciprocity", "shape")
+    # the exponent sweeps read one table per fold class from the table
+    # kernel, so they neither fill the Adams memo nor replace what it holds
+    SWEEPS = ("dimension", "periodicity", "symmetry", "reciprocity", "shape")
 
     @pytest.mark.parametrize("p, nu", [(7, 2), (3, 3)])
     def test_empty_memo_stays_empty(self, p, nu):
@@ -104,3 +115,81 @@ class TestExponentSweepsLeaveTheMemo:
         assert after.keys() == before.keys()
         assert all(after[key] is value for key, value in before.items())
         assert adams_basis(ctx, 2, 5) is kept
+
+
+def restrict(ctx, w):
+    """w restricted to the subgroup of order p, an element at (p, 1)."""
+    return GreenElement(RingContext(ctx.p, 1), _restricted(ctx, [w])[0].tolist())
+
+
+def reference_restrict(ctx, w):
+    """V_{am+b} -> b V_{a+1} + (m-b) V_a, m = p^(nu-1), term by term as written."""
+    m = ctx.order // ctx.p
+    terms = []
+    for t, c in w.terms:
+        a, b = divmod(t, m)
+        terms += [(a + 1, b * c), (a, (m - b) * c)]
+    return GreenElement.from_terms(RingContext(ctx.p, 1), terms)
+
+
+RESTRICTION_CONTEXTS = [(3, 3), (5, 2), (7, 2), (2, 5), (3, 4), (11, 2)]
+
+
+class TestRestriction:
+    # restriction to the subgroup of order p is a ring map commuting with
+    # the Adams operations and the exterior and symmetric powers, so each
+    # is checked against the same computation at (p, 1)
+    @staticmethod
+    def seeded(ctx, count):
+        rng = random.Random(ctx.order)
+        return [suites._random_element(ctx, rng, ctx.order) for _ in range(count)]
+
+    @pytest.mark.parametrize("p, nu", RESTRICTION_CONTEXTS)
+    def test_matches_its_definition(self, p, nu):
+        ctx = RingContext(p, nu)
+        for w in self.seeded(ctx, 20) + [basis_element(ctx, s) for s in range(1, ctx.order + 1)]:
+            assert restrict(ctx, w) == reference_restrict(ctx, w), format_element(w)
+
+    @pytest.mark.parametrize("p, nu", RESTRICTION_CONTEXTS)
+    def test_products(self, p, nu):
+        ctx = RingContext(p, nu)
+        xs = self.seeded(ctx, 12)
+        for x, y in zip(xs[::2], xs[1::2]):
+            assert restrict(ctx, multiply(x, y)) == multiply(restrict(ctx, x), restrict(ctx, y))
+
+    @pytest.mark.parametrize("p, nu", RESTRICTION_CONTEXTS)
+    def test_powers_below_p(self, p, nu):
+        ctx, low = RingContext(p, nu), RingContext(p, 1)
+        for w in self.seeded(ctx, 2):
+            for n in range(1, p):
+                for power in (exterior_power, symmetric_power):
+                    got = restrict(ctx, power(ctx, n, w))
+                    assert got == power(low, n, restrict(ctx, w)), (power.__name__, n)
+
+    @pytest.mark.parametrize("p, nu", RESTRICTION_CONTEXTS)
+    def test_adams(self, p, nu):
+        ctx, low = RingContext(p, nu), RingContext(p, 1)
+        for w in self.seeded(ctx, 4):
+            for n in range(1, 4 * p):
+                if n % p:
+                    assert restrict(ctx, adams(ctx, n, w)) == adams(low, n, restrict(ctx, w)), n
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31])
+    def test_matches_the_laurent_polynomial(self, p):
+        # (z - 1/z) [r] at z^n mod z^(2p) - 1, term by term, V_p from the dimension
+        for n in range(1, 4 * p):
+            if n % p == 0:
+                continue
+            table = _af_adams(p, n)
+            assert not table[0].any()
+            for r in range(1, p + 1):
+                coeff = [0] * (2 * p)
+                for i in range(r):
+                    e = n * (r - 1 - 2 * i)
+                    coeff[(e + 1) % (2 * p)] += 1
+                    coeff[(e - 1) % (2 * p)] -= 1
+                want = coeff[1:p]
+                want.append((r - sum(t * c for t, c in enumerate(want, 1))) // p)
+                assert table[r].tolist() == want, (n, r)
