@@ -25,10 +25,10 @@ There are two routes, one per job:
   holds no exponent >= p.
 - the table kernel _table runs the level identity for every value of one
   fold class at once.  It has three readers: adams_table (the `table`
-  command), which leaves the values in the memo; the exponent sweeps of
-  the suites (dimension, periodicity, symmetry, reciprocity, shape), which
-  read one table per fold class and leave the memo as they found it; and,
-  through adams_table, the memo itself, which adams_basis then hits.  A
+  command), which leaves the values in the memo; the suites' one walk over
+  the fold classes, which builds one table per class for all five exponent
+  sweeps, reads it also as _reflected's dense rows, and leaves the memo as
+  it found it; and, through adams_table, the memo, which adams_basis hits.  A
   level is a pair of dense int32 arrays per block of r, and each step k is
   two slice additions, one per spread.  Every block works in views of one
   working set (the two accumulator planes and a read-out buffer) that the

@@ -56,10 +56,6 @@ SUITE_NAMES = (
 )
 
 
-class UsageError(Exception):
-    """Validation failure that should exit with code 2."""
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's one parser, built on the first call and reused after it.
@@ -203,15 +199,10 @@ def _table_chunks(ctx: RingContext, n: int, values: list[GreenElement], fmt: str
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .suites import NotApplicableError, run_suite
+    from .suites import run_suite
 
-    ctx = RingContext(args.p, args.nu)
-    try:
-        reports = run_suite(ctx, args.suite)
-    except NotApplicableError as exc:
-        raise UsageError(f"suite {args.suite!r} {exc}") from exc
     ok = True
-    for report in reports:
+    for report in run_suite(RingContext(args.p, args.nu), args.suite):
         for line in report.lines:
             print(f"[{report.name}] {line}")
         ok = ok and report.ok
@@ -241,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_verify(args)
-    except (UsageError, GreenRingError) as exc:
+    except GreenRingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

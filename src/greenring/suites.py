@@ -1,25 +1,24 @@
 """Named verification sweeps driven by the command line and the test suite.
 
-Each suite checks a family of identities at a given context.  A suite is a
-generator of (label, outcome) pairs, one per case: the outcome is None when
-the case passes and the counterexample text when it fails, so the text is
-only built on failure.  run_suite groups each run of one label into a clause
-(label, cases) and hands it to SuiteReport.record, the one place that counts
-cases and writes a clause's line.  All sampling uses fixed seeds so repeated
-runs are byte-identical.
+Each suite checks a family of identities at a given context.  The exponent
+sweeps are not generators but _Sweep descriptions, which one walk over the
+fold classes checks; any other suite is a generator of (label, outcome)
+pairs, one per case, the outcome None on a pass and the counterexample text
+on a failure.  SuiteReport.record is the one place that counts a clause's
+cases and writes its line.  Sampling uses fixed seeds, so runs repeat bytes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .adams import _shape_violation, _table, adams, adams_basis, fold_exponent, signs_alternate
+from .adams import _reflected, _shape_violation, _table, adams, adams_basis, fold_exponent, signs_alternate
 from .core import (
     GreenElement,
     RingContext,
@@ -46,9 +45,7 @@ class UnknownSuiteError(GreenRingError, ValueError):
     """No suite has the requested name."""
 
 
-# a suite's stream: one (clause label, outcome) pair per case, the outcome None
-# when the case passes and the counterexample text when it fails; each run of
-# pairs with one label is one clause, so a suite never repeats a label later
+# a stream suite's pairs; each run of one label is one clause, never repeated later
 Outcomes = Iterator[tuple[str, str | None]]
 
 # the one clause whose line counts (n,s) pairs and names its first failure "first"
@@ -141,64 +138,71 @@ def _desk_index(ctx: RingContext) -> int:
     return min(ctx.order, 2 * ctx.p)
 
 
-def _by_fold_class(ctx: RingContext, label: str, ns: list[int], cases: Sequence,
-                   failures: Callable[[list[int], list[GreenElement]], dict]) -> Outcomes:
-    """One clause over the raw exponents ns, each checked on every case in cases.
+class _Sweep(NamedTuple):
+    """An exponent sweep: one clause over the raw exponents ns, each on every case.
 
-    The first time the sweep meets a fold class f, failures(group, table) is
-    called once, with the exponents of ns in that class and _table(ctx, f),
-    the values on V_1..V_q at f; it returns {n: {case: text}} for the
-    failing cases only, and the table is dropped.
+    failures(group, table, rows) gets the exponents of ns in one fold class
+    and that class's table and dense view (see _sweep_failures); it returns
+    {n: {case: text}} for the failing cases only.
     """
-    groups: dict[int, list[int]] = {}
-    for n in ns:
-        groups.setdefault(fold_exponent(ctx, n), []).append(n)
-    found: dict[int, dict] = {}
-    for n in ns:
-        f = fold_exponent(ctx, n)
-        if f in groups:
-            found.update(failures(groups.pop(f), _table(ctx, f)))
-        bad = found.pop(n, {})
-        for case in cases:
-            yield label, bad.get(case)
+
+    label: str
+    ns: list[int]
+    cases: Sequence
+    failures: Callable[[list[int], list[GreenElement], np.ndarray], dict]
 
 
-def _class_wide(check: Callable[[int, list[GreenElement]], dict]) -> Callable:
-    """failures for _by_fold_class from a check whose verdict is one per fold class.
+def _sweep_failures(ctx: RingContext, sweeps: dict[str, _Sweep]) -> dict[str, dict[int, dict]]:
+    """{name: {n: {case: text}}} for the failing cases, from one walk over the fold classes.
 
-    check(n, table) returns {case: text} for the failing cases.  It reads n
-    only through the table at fold(n) and through n's parity, which the fold
-    keeps (n = +-fold(n) mod 2p), so it runs once per class, on the class's
-    first exponent, and its failures are replayed as "n=<n>, <text>" for
-    every n of the class.
+    Each class f the sweeps meet gets one table, _table(ctx, f), and one
+    dense int32 view of it, row s - 1 the value on V_s with column t = V_t
+    for t = 0..q, exact as every multiplicity of an Adams value is at most q.
     """
-    def failures(group, table):
-        bad = check(group[0], table)
+    classes: dict[int, dict[str, list[int]]] = {}
+    for name, sweep in sweeps.items():
+        for n in sweep.ns:
+            classes.setdefault(fold_exponent(ctx, n), {}).setdefault(name, []).append(n)
+    found = {name: {} for name in sweeps}
+    for f, groups in classes.items():
+        table = _table(ctx, f)
+        rows = _reflected(table, ctx.order)[:, ctx.order :]
+        for name, group in groups.items():
+            found[name].update(sweeps[name].failures(group, table, rows))
+    return found
+
+
+def _class_wide(check: Callable[[int, list[GreenElement], np.ndarray], dict]) -> Callable:
+    """A sweep's failures from a check whose verdict is one per fold class.
+
+    check(n, table, rows) returns {case: text} for the failing cases.  It
+    reads n only through the table at fold(n) and through n's parity, which
+    the fold keeps (n = +-fold(n) mod 2p), so it runs once per class, on the
+    class's first exponent, and its failures are replayed as "n=<n>, <text>"
+    for every n of the class.
+    """
+    def failures(group, table, rows):
+        bad = check(group[0], table, rows)
         return {n: {case: f"n={n}, {text}" for case, text in bad.items()} for n in group}
 
     return failures
 
 
-def _restricted(ctx: RingContext, values: list[GreenElement]) -> np.ndarray:
-    """Each value restricted to the subgroup of order p, as an int64 row of V_1..V_p.
+def _restricted(ctx: RingContext, rows: np.ndarray) -> np.ndarray:
+    """Rows of V_1..V_q restricted to the subgroup of order p, as int64 rows of V_1..V_p.
 
     With m = p^(nu-1), V_{am+b} restricts to b V_{a+1} + (m-b) V_a for
-    0 <= b < m, since (g - 1)^m = g^m - 1 in characteristic p; at nu = 1 the
-    restriction is the identity.
+    1 <= b <= m, as (g - 1)^m = g^m - 1 in characteristic p: the columns fall
+    into p blocks a of m columns b.  At nu = 1 the restriction is the identity.
     """
     p, m = ctx.p, ctx.order // ctx.p
-    sizes = [len(v.terms) for v in values]
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(v.terms for v in values)),
-                       np.int64, 2 * sum(sizes))
-    at, t, c = np.repeat(np.arange(len(values)), sizes), flat[0::2], flat[1::2]
-    out = np.zeros((len(values), p + 2), np.int64)  # column i holds V_i, V_0 = 0 and V_{p+1} unused
-    if m == 1:
-        out[at, t] = c
-    else:
-        a, b = np.divmod(t, m)
-        np.add.at(out, (at, a), (m - b) * c)
-        np.add.at(out, (at, a + 1), b * c)
-    return out[:, 1 : p + 1]
+    blocks = rows.reshape(len(rows), p, m)
+    b = np.arange(1, m + 1, dtype=np.int64)
+    out = np.zeros((len(rows), p + 1), np.int64)  # column i holds V_i, V_0 = 0 dropped below
+    # einsum casts rows to int64 a buffer at a time; integer matmul copies them whole
+    out[:, 1:] = np.einsum("rab,b->ra", blocks, b)
+    out[:, :-1] += np.einsum("rab,b->ra", blocks, m - b)
+    return out[:, 1:]
 
 
 def _af_adams(p: int, n: int) -> np.ndarray:
@@ -228,7 +232,7 @@ def _af_adams(p: int, n: int) -> np.ndarray:
     return out
 
 
-def _against_closed_form(ctx: RingContext, label: str, names: dict[int, str]) -> Outcomes:
+def _against_closed_form(ctx: RingContext, label: str, names: dict[int, str]) -> _Sweep:
     """One clause over the raw exponents n of names, in order, each on V_1..V_q.
 
     Case (n, s) passes iff the table's psi^fold(n)(V_s), restricted to the
@@ -237,29 +241,30 @@ def _against_closed_form(ctx: RingContext, label: str, names: dict[int, str]) ->
     gets its own closed form, so neither residue of a fold class stands in
     for the other.
     """
-    basis = _restricted(ctx, [basis_element(ctx, s) for s in range(1, ctx.order + 1)])
+    basis = _restricted(ctx, np.identity(ctx.order, np.int8)) if ctx.nu > 1 else None
 
-    def failures(group, table):
-        got, bad = _restricted(ctx, table), {}
+    def failures(group, table, rows):
+        got, bad = _restricted(ctx, rows[:, 1:]), {}
         for n in group:
             want = _af_adams(ctx.p, n)[1:]
-            if ctx.nu > 1:  # at nu = 1 the restriction, and so basis, is the identity
+            if basis is not None:
                 want = basis @ want
             wrong = np.flatnonzero((got != want).any(axis=1)) + 1
             if wrong.size:
                 bad[n] = {s: f"{names[n]}, s={s}" for s in wrong.tolist()}
         return bad
 
-    yield from _by_fold_class(ctx, label, list(names), range(1, ctx.order + 1), failures)
+    return _Sweep(label, list(names), range(1, ctx.order + 1), failures)
 
 
-def run_dimension(ctx: RingContext) -> Outcomes:
-    def check(n, table):
-        return {s: f"s={s}" for s, v in enumerate(table, 1) if dim(v) != s}
+def _dimension(ctx: RingContext) -> _Sweep:
+    def check(n, table, rows):
+        dims = np.einsum("st,t->s", rows, np.arange(ctx.order + 1, dtype=np.int64))
+        wrong = np.flatnonzero(dims != np.arange(1, ctx.order + 1)) + 1
+        return {s: f"s={s}" for s in wrong.tolist()}
 
-    yield from _by_fold_class(ctx, "dimension preserved on basis",
-                              _valid_exponents(ctx, 2 * ctx.p), range(1, ctx.order + 1),
-                              _class_wide(check))
+    return _Sweep("dimension preserved on basis", _valid_exponents(ctx, 2 * ctx.p),
+                  range(1, ctx.order + 1), _class_wide(check))
 
 
 def run_homomorphism(ctx: RingContext) -> Outcomes:
@@ -287,39 +292,37 @@ def run_homomorphism(ctx: RingContext) -> Outcomes:
         yield "additive", None if ok else f"n={n}, a={format_element(a)}"
 
 
-def run_periodicity(ctx: RingContext) -> Outcomes:
+def _periodicity(ctx: RingContext) -> _Sweep:
     two_p = 2 * ctx.p
     names = {two_p + c: f"c={c}" for c in _valid_exponents(ctx, two_p)}
-    yield from _against_closed_form(ctx, "exponent period 2p on basis", names)
+    return _against_closed_form(ctx, "exponent period 2p on basis", names)
 
 
-def run_symmetry(ctx: RingContext) -> Outcomes:
+def _symmetry(ctx: RingContext) -> _Sweep:
     names = {2 * ctx.p - j: f"j={j}" for j in range(1, ctx.p)}
-    yield from _against_closed_form(ctx, "exponent reflection at 2p on basis", names)
+    return _against_closed_form(ctx, "exponent reflection at 2p on basis", names)
 
 
-def run_reciprocity(ctx: RingContext) -> Outcomes:
-    if ctx.p == 2:
-        raise NotApplicableError("requires odd p")
-    cases = [(m, r) for m in range(ctx.nu + 1) for r in range(1, ctx.p**m + 1)]
-    empty = zero(ctx)
-
-    def check(n, table):
+def _reciprocity(ctx: RingContext) -> _Sweep:
+    def check(n, table, rows):
         bad = {}
-        for m, r in cases:
+        for m in range(ctx.nu + 1):
             pm = ctx.p**m
-            comp = table[pm - r - 1] if r < pm else empty
-            if table[r - 1] + comp != basis_element(ctx, pm):
+            sums = rows[:pm].copy()  # row r - 1: the value on V_r plus the value on V_{pm-r}
+            sums[:-1] += rows[: pm - 1][::-1]
+            sums[:, pm] -= 1
+            for r in (np.flatnonzero(sums.any(axis=1)) + 1).tolist():
                 bad[m, r] = f"m={m}, r={r}"
         return bad
 
+    cases = [(m, r) for m in range(ctx.nu + 1) for r in range(1, ctx.p**m + 1)]
     even = [n for n in _valid_exponents(ctx, 2 * ctx.p) if n % 2 == 0]
-    yield from _by_fold_class(ctx, "complement sum equals the regular module (even n)",
-                              even, cases, _class_wide(check))
+    return _Sweep("complement sum equals the regular module (even n)", even, cases,
+                  _class_wide(check))
 
 
-def run_shape(ctx: RingContext) -> Outcomes:
-    def check(n, table):
+def _shape(ctx: RingContext) -> _Sweep:
+    def check(n, table, rows):
         bad = {}
         for s, value in enumerate(table, 1):
             clause = _shape_violation(ctx, n, s, value)
@@ -327,8 +330,8 @@ def run_shape(ctx: RingContext) -> Outcomes:
                 bad[s] = f"s={s}, clause={clause.value}"
         return bad
 
-    yield from _by_fold_class(ctx, _SHAPE_LABEL, _valid_exponents(ctx, ctx.order),
-                              range(1, ctx.order + 1), _class_wide(check))
+    return _Sweep(_SHAPE_LABEL, _valid_exponents(ctx, ctx.order), range(1, ctx.order + 1),
+                  _class_wide(check))
 
 
 def run_heller(ctx: RingContext) -> Outcomes:
@@ -357,8 +360,6 @@ def run_heller(ctx: RingContext) -> Outcomes:
 
 
 def run_gow_laffey(ctx: RingContext) -> Outcomes:
-    if ctx.p == 2:
-        raise NotApplicableError("requires odd p")
     for m in range(1, ctx.nu + 1):
         for r in range(1, ctx.p**m + 1):
             ok = gow_laffey_check(ctx, m, r).ok
@@ -458,43 +459,51 @@ def run_oracle(ctx: RingContext) -> Outcomes:
         yield "ladder basis products match the oracle", None if ok else f"a={a}, b={b}"
 
 
-_RUNNERS = {
-    "dimension": run_dimension,
+# each suite's maker: a _Sweep for an exponent sweep, else a stream of outcomes
+_SUITES = {
+    "dimension": _dimension,
     "homomorphism": run_homomorphism,
-    "periodicity": run_periodicity,
-    "symmetry": run_symmetry,
-    "reciprocity": run_reciprocity,
-    "shape": run_shape,
+    "periodicity": _periodicity,
+    "symmetry": _symmetry,
+    "reciprocity": _reciprocity,
+    "shape": _shape,
     "heller": run_heller,
     "gow-laffey": run_gow_laffey,
     "oracle": run_oracle,
 }
 # "all" runs every suite in the order above
-SUITE_NAMES = (*_RUNNERS, "all")
+SUITE_NAMES = (*_SUITES, "all")
+_ODD_P_ONLY = ("reciprocity", "gow-laffey")
 
 
 def run_suite(ctx: RingContext, suite: str) -> list[SuiteReport]:
-    """Run one named suite (or all of them) and return their reports.
+    """Run one named suite (or all of them) and return their reports, in SUITE_NAMES order.
 
-    A suite's stream is read in order, each run of pairs with one label
-    making one clause, so the seeded draws come in one fixed order.
-    Requesting an odd-p-only suite at p = 2 raises NotApplicableError; under
-    "all" such suites are reported as skipped instead.
+    The exponent sweeps requested share one walk over the fold classes
+    (_sweep_failures); any other suite's stream is read in order, so its
+    seeded draws come in one fixed order.  At p = 2 an odd-p-only suite
+    raises NotApplicableError when requested alone and is skipped under "all".
     """
-    if suite == "all":
-        reports = []
-        for name in _RUNNERS:
-            try:
-                reports.extend(run_suite(ctx, name))
-            except NotApplicableError as exc:
-                rep = SuiteReport(name)
-                rep.skip(name, str(exc))
-                reports.append(rep)
-        return reports
-    runner = _RUNNERS.get(suite)
-    if runner is None:
+    if suite != "all" and suite not in _SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}")
-    rep = SuiteReport(suite)
-    for label, outcomes in groupby(runner(ctx), itemgetter(0)):
-        rep.record(label, (failure for _, failure in outcomes))
-    return [rep]
+    names = [*_SUITES] if suite == "all" else [suite]
+    skipped = [name for name in names if ctx.p == 2 and name in _ODD_P_ONLY]
+    if skipped and suite != "all":
+        raise NotApplicableError(f"suite {suite!r} requires odd p")
+    reports = {name: SuiteReport(name) for name in names}
+    sweeps = {}
+    for name in names:
+        made = None if name in skipped else _SUITES[name](ctx)
+        if made is None:
+            reports[name].skip(name, "requires odd p")
+        elif isinstance(made, _Sweep):
+            sweeps[name] = made
+        else:
+            for label, outcomes in groupby(made, itemgetter(0)):
+                reports[name].record(label, (failure for _, failure in outcomes))
+    # the walk runs last: after it frees a dense view (8 MB at q = 1024) the C allocator
+    # keeps arrays up to that size in its heap, 6 MB more of the oracle's at (2,10)
+    for name, bad in _sweep_failures(ctx, sweeps).items():
+        label, ns, cases, _ = sweeps[name]
+        reports[name].record(label, (bad.get(n, {}).get(case) for n in ns for case in cases))
+    return list(reports.values())

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from greenring import (
@@ -104,14 +105,17 @@ def test_criterion_03_periodicity_symmetry():
     mismatches = 0
     checked = 0
     for ctx in CONTEXTS:
-        basis = _restricted(ctx, [basis_element(ctx, s) for s in range(1, ctx.order + 1)])
+        basis = _restricted(
+            ctx, np.array([basis_element(ctx, s).coeffs for s in range(1, ctx.order + 1)], np.int64)
+        )
         raw = [2 * ctx.p + c for c in valid_exponents(ctx, 2 * ctx.p)]
         raw += [2 * ctx.p - j for j in range(1, ctx.p)]
         for n in raw:
             want = (basis @ _af_adams(ctx.p, n)[1:]).tolist()
             for s in range(1, ctx.order + 1):
                 checked += 1
-                got = _restricted(ctx, [adams_basis(ctx, n, s)])[0].tolist()
+                row = np.array([adams_basis(ctx, n, s).coeffs], np.int64)
+                got = _restricted(ctx, row)[0].tolist()
                 if got != want[s - 1]:
                     mismatches += 1
     assert mismatches == 0

@@ -299,12 +299,13 @@ class TestClosedForms:
 
 def restricted(ctx, w):
     """w restricted to the subgroup of order p, as a list of V_1..V_p multiplicities."""
-    return _restricted(ctx, [w])[0].tolist()
+    return _restricted(ctx, np.array([w.coeffs], np.int64))[0].tolist()
 
 
 def closed_form_restricted(ctx, n, s):
     """psi^n(V_s) restricted to the subgroup of order p, by the [AF] closed form at the raw n."""
-    return (_restricted(ctx, [basis_element(ctx, s)]) @ _af_adams(ctx.p, n)[1:])[0].tolist()
+    rows = np.array([basis_element(ctx, s).coeffs], np.int64)
+    return (_restricted(ctx, rows) @ _af_adams(ctx.p, n)[1:])[0].tolist()
 
 
 class TestExponentLaws:

@@ -186,6 +186,14 @@ class TestUsageErrorWording:
         assert not out
         assert err == f"error: {exc.value}\n"
 
+    def test_verify_names_the_suite(self, capsys):
+        with pytest.raises(suites.NotApplicableError) as exc:
+            suites.run_suite(RingContext(2, 2), "reciprocity")
+        assert main(["verify", "--p", "2", "--nu", "2", "--suite", "reciprocity"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: {exc.value}\n" == "error: suite 'reciprocity' requires odd p\n"
+
 
 class TestTableCommand:
     def test_identity_column(self, capsys):
@@ -317,8 +325,10 @@ class TestVerifyCommand:
         # each sweep checks a class once on its first exponent and repeats
         # the verdict for the others.  It holds the raw exponents 8 and 10 of
         # the period sweep (c = 2, 4) and 4 of the reflection sweep (j = 2),
-        # each checked against the closed form on its own.  Each line counts
-        # its failing cases and names the first one in sweep order
+        # each checked against the closed form on its own, and 2 and 4 of the
+        # complement sweep, where V_5 is the complement of V_4 at m = 2.
+        # Each line counts its failing cases and names the first one in
+        # sweep order, alone and under "all", where the sweeps share tables
         real_table = suites._table
         real_shape_violation = suites._shape_violation
 
@@ -359,10 +369,29 @@ class TestVerifyCommand:
             " first counterexample: j=2, s=5\n"
             "RESULT: FAIL\n"
         )
+        assert main(["verify", "--p", "3", "--nu", "2", "--suite", "reciprocity"]) == 1
+        assert capsys.readouterr().out == (
+            "[reciprocity] complement sum equals the regular module (even n): 22/26 pass;"
+            " first counterexample: n=2, m=2, r=4\n"
+            "RESULT: FAIL\n"
+        )
         assert main(["verify", "--p", "3", "--nu", "2", "--suite", "all"]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("[dimension] dimension preserved on basis: 34/36 pass;")
-        assert out[-1] == "RESULT: FAIL"
+        sweeps = [line for line in out if not line.startswith(("[homomorphism]", "[heller]",
+                                                               "[gow-laffey]", "[oracle]"))]
+        assert sweeps == [
+            "[dimension] dimension preserved on basis: 34/36 pass;"
+            " first counterexample: n=2, s=5",
+            "[periodicity] exponent period 2p on basis: 34/36 pass;"
+            " first counterexample: c=2, s=5",
+            "[symmetry] exponent reflection at 2p on basis: 17/18 pass;"
+            " first counterexample: j=2, s=5",
+            "[reciprocity] complement sum equals the regular module (even n): 22/26 pass;"
+            " first counterexample: n=2, m=2, r=4",
+            "[shape] alternating shape: 51/54 (n,s) pairs pass;"
+            " first: n=2, s=7, clause=parity",
+            "RESULT: FAIL",
+        ]
 
     @pytest.mark.parametrize(
         "p, nu, digest",

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from greenring import (
@@ -117,9 +118,30 @@ class TestExponentSweepsLeaveTheMemo:
         assert adams_basis(ctx, 2, 5) is kept
 
 
+class TestOneTablePerFoldClass:
+    # every exponent sweep of one run_suite call reads the same table of a
+    # fold class, so a run builds each class's table once, however many
+    # sweeps and raw exponents meet it
+    @pytest.mark.parametrize("p, nu, suite, tables", [
+        (7, 2, "all", 6), (3, 3, "all", 2), (2, 5, "all", 1), (7, 2, "shape", 6),
+    ])
+    def test_tables_built(self, p, nu, suite, tables, monkeypatch):
+        built = []
+        real_table = suites._table
+
+        def table(ctx, f):
+            built.append(f)
+            return real_table(ctx, f)
+
+        monkeypatch.setattr(suites, "_table", table)
+        assert all(report.ok for report in run_suite(RingContext(p, nu), suite))
+        assert sorted(built) == list(range(1, tables + 1))
+
+
 def restrict(ctx, w):
     """w restricted to the subgroup of order p, an element at (p, 1)."""
-    return GreenElement(RingContext(ctx.p, 1), _restricted(ctx, [w])[0].tolist())
+    row = np.array([w.coeffs], np.int64)
+    return GreenElement(RingContext(ctx.p, 1), _restricted(ctx, row)[0].tolist())
 
 
 def reference_restrict(ctx, w):
