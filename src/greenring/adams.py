@@ -24,31 +24,42 @@ There are two routes, one per job:
   memoizes each value per context under its folded exponent, so the memo
   holds no exponent >= p.
 - the table kernel _table runs the level identity for every value of one
-  fold class at once.  It has three readers: adams_table (the `table`
-  command), which leaves the values in the memo; the suites' one walk over
-  the fold classes, which builds one table per class for all five exponent
-  sweeps, reads it also as _reflected's dense rows, and leaves the memo as
-  it found it; and, through adams_table, the memo, which adams_basis hits.  A
-  level is a pair of dense int32 arrays per block of r, and each step k is
-  two slice additions, one per spread.  Every block works in views of one
-  working set (the two accumulator planes and a read-out buffer) that the
-  table allocates once, sized for its largest block: an array of 128 KiB
-  or more is mapped afresh on each allocation, so arrays made per block
-  would fault their pages in again on every block (about 3,300 minor
-  faults for a cold (2,10) table, against about 200).  A spread never
-  writes one index twice, so a slice addition is exact.  A value at level
-  m + 1 is a sum of at most p spreads of values at levels <= m, each
-  adding at most one term to an index, so by induction every multiplicity
-  of a value on V_s, and of each partial sum the arrays hold, is at most
-  p^level(s) <= q in magnitude: int32 is exact far beyond the order cap.
+  fold class at once.  Its one output is the table's rows in compressed
+  sparse row form (_Rows: starts, cols, coefs), and it has three readers:
+  the `table` command, which writes its text from the rows a chunk at a
+  time and leaves them in the memo; the memo, which keeps each fold
+  class's rows with every term's place among the shared unit pairs
+  (_keyed), and where adams_basis builds a missing value of that class
+  from its row (_values, the one maker of elements from the rows, which
+  adams_table uses too) instead of recursing; and the suites' one walk
+  over the fold classes, which builds one table per class for all five
+  exponent sweeps, scatters a dense view from the rows, and leaves the
+  memo as it found it.  A level is a pair of dense int32 arrays per block
+  of r, and each step k is two slice additions, one per spread; the values
+  on V_r and V_{q-r} are scattered into the block from the lower levels'
+  rows, and the nonzero entries of each read-out become the next level's
+  rows, put in order of s once per level.  Every block works in views of
+  one working set (the two accumulator planes, a read-out buffer and the
+  two scattered inputs) that the table allocates once, sized for its
+  largest block: an array of 128 KiB or more is mapped afresh on each
+  allocation, so arrays made per block would fault their pages in again on
+  every block (about 3,300 minor faults for a cold (2,10) table, against
+  about 200).  A spread never writes one index twice, so a slice addition
+  is exact.  A value at level m + 1 is a sum of at most p spreads of
+  values at levels <= m, each adding at most one term to an index, so by
+  induction every multiplicity of a value on V_s, and of each partial sum
+  the arrays hold, is at most p^level(s) <= q in magnitude: int32 is exact
+  far beyond the order cap.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     GreenElement,
@@ -61,7 +72,6 @@ from .core import (
     multiply,
     one,
     ring_generator,
-    zero,
 )
 from .errors import DivisibilityError, IndexRangeError
 from .polynomials import dickson_first
@@ -73,15 +83,66 @@ from .polynomials import dickson_first
 # allocations sooner, into the first ring operations
 import numpy as np
 
-_CACHE: dict[tuple[int, int], dict[tuple[int, int], GreenElement]] = {}
+
+class _Rows(NamedTuple):
+    """An Adams table in compressed sparse row form.
+
+    The value on V_s has the terms of index cols[starts[s - 1] : starts[s]],
+    ascending, with the multiplicities coefs[starts[s - 1] : starts[s]].
+    """
+
+    starts: np.ndarray  # int64, q + 1 entries
+    cols: np.ndarray  # int32
+    coefs: np.ndarray  # int32
 
 
-def _context_cache(ctx: RingContext) -> dict[tuple[int, int], GreenElement]:
-    return _CACHE.setdefault((ctx.p, ctx.nu), {})
+class _Keyed(NamedTuple):
+    """A table's rows as _values reads them (see _keyed)."""
+
+    rows: _Rows
+    starts: list[int]  # rows.starts as Python ints
+    keys: np.ndarray  # int32, the place in units of each term's shared pair
+    wide: list[int]  # the places of the terms of multiplicity other than +-1
+    units: list  # core._unit_terms(q)
+
+
+def _keyed(ctx: RingContext, rows: _Rows) -> _Keyed:
+    """The rows of a table at ctx, with each term's place among the shared unit pairs.
+
+    A term c V_t with c = +-1 has its pair at 2 t + (c < 0) of
+    core._unit_terms(q).  Worked out for the whole table at once, with the
+    row starts as Python ints, this leaves a single value's read from the
+    rows to one slice of keys and one list lookup per term.
+    """
+    coefs = rows.coefs
+    keys = rows.cols * 2
+    keys += coefs < 0
+    wide = np.flatnonzero((coefs > 1) | (coefs < -1)).tolist()
+    return _Keyed(rows, rows.starts.tolist(), keys, wide, _unit_terms(ctx.order))
+
+
+class _Memo(dict):
+    """One context's memo: {(folded n, s): value}, and in tables {folded n: _Keyed}."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tables: dict[int, _Keyed] = {}
+
+
+_CACHE: dict[tuple[int, int], _Memo] = {}
+
+
+def _context_cache(ctx: RingContext) -> _Memo:
+    memo = _CACHE.get((ctx.p, ctx.nu))
+    if memo is None:
+        memo = _CACHE[ctx.p, ctx.nu] = _Memo()
+    return memo
 
 
 def clear_cache(ctx: RingContext | None = None) -> None:
-    """Drop memoized Adams values (all contexts when ctx is None)."""
+    """Drop memoized Adams values and table rows (all contexts when ctx is None)."""
     if ctx is None:
         _CACHE.clear()
     else:
@@ -159,7 +220,10 @@ def _adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if s == 1:
+    rows = cache.tables.get(n)
+    if rows is not None:
+        value = _values(ctx, rows, s, s + 1)[0]
+    elif s == 1:
         value = basis_element(ctx, 1)
     else:
         m = ctx.level(s) - 1
@@ -188,12 +252,11 @@ def adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
     The suites check that period and reflection against the closed form of
     Almkvist and Fossum at the raw exponent.
     """
-    n = fold_exponent(ctx, _check_exponent(ctx, n))
-    return _adams_basis(ctx, n, ctx.check_index(s))
+    return _adams_basis(ctx, _folded(ctx, n), ctx.check_index(s))
 
 
-def _check_exponent(ctx: RingContext, n: int) -> int:
-    """n as an int, after checking that it is an integer >= 1 that p does not divide."""
+def _folded(ctx: RingContext, n: int) -> int:
+    """n folded into 1..p-1, after checking that it is an integer >= 1 that p does not divide."""
     n = _integer(n, "exponent")
     if n < 1:
         raise DivisibilityError(f"exponent must be >= 1, got {n}")
@@ -201,7 +264,7 @@ def _check_exponent(ctx: RingContext, n: int) -> int:
         raise DivisibilityError(
             f"exponent {n} divisible by p = {ctx.p} is not supported"
         )
-    return n
+    return fold_exponent(ctx, n)
 
 
 # A block of r has as many rows as keep each working array near this many
@@ -210,6 +273,11 @@ def _check_exponent(ctx: RingContext, n: int) -> int:
 # to the table itself, and a numpy call is never spent on one short row.
 _BLOCK_CELLS = 1 << 15
 
+# the readers of a table's rows (its elements, the `table` text) take runs of
+# rows of about this many terms at a time, so that what they build on the way
+# stays small next to the rows
+_CHUNK_TERMS = 1 << 12
+
 
 def adams_table(ctx: RingContext, n: int) -> list[GreenElement]:
     """The n-th Adams operation on V_1..V_q, in order, computed level by level.
@@ -217,62 +285,120 @@ def adams_table(ctx: RingContext, n: int) -> list[GreenElement]:
     Requires p not dividing n; the exponent is folded as in adams_basis.
     Every value is left in the memo, and a value already memoized is
     returned as that same object, so adams_basis after a table is a cache
-    hit.  The values come from _table unless all of them are memoized.
+    hit.  The other values are built from the table's rows (_table_rows)
+    unless all of them are memoized.
     """
-    n = fold_exponent(ctx, _check_exponent(ctx, n))
+    n = _folded(ctx, n)
     cache = _context_cache(ctx)
     memo = [cache.get((n, s)) for s in range(1, ctx.order + 1)]
     if all(v is not None for v in memo):
         return memo
-    return [cache.setdefault((n, s), v) for s, v in enumerate(_table(ctx, n), 1)]
+    values = _values(ctx, _table_rows(ctx, n), 1, ctx.order + 1)
+    return [cache.setdefault((n, s), v) for s, v in enumerate(values, 1)]
 
 
-def _table(ctx: RingContext, f: int) -> list[GreenElement]:
-    """The f-th Adams operation on V_1..V_q, in order, for f folded into 1..p-1.
+def _table_rows(ctx: RingContext, f: int) -> _Keyed:
+    """The rows of the f-th operation's table, f folded: the memo's, else _table's, left in the memo."""
+    tables = _context_cache(ctx).tables
+    keyed = tables.get(f)
+    if keyed is None:
+        keyed = tables[f] = _keyed(ctx, _table(ctx, f))
+    return keyed
+
+
+def _values(ctx: RingContext, table: _Keyed, lo: int, hi: int) -> list[GreenElement]:
+    """The values on V_lo..V_{hi-1} as elements, built from a table's rows a chunk at a time.
+
+    The one maker of elements from the rows: the memo, adams_table and
+    the shape sweep read their elements through it.  Terms of multiplicity +-1
+    are the shared pairs of units (see core._unit_terms).
+    """
+    _, starts, keys, wide, units = table
+    values = []
+    for a, b in _chunks(starts, lo, hi):
+        ends = starts[a - 1 : b]
+        x, y = ends[0], ends[-1]
+        terms = list(map(units.__getitem__, keys[x:y].tolist()))
+        for i in wide[bisect_left(wide, x) : bisect_left(wide, y)]:
+            terms[i - x] = (int(table.rows.cols[i]), int(table.rows.coefs[i]))
+        terms = tuple(terms)
+        values += [GreenElement._from_terms(ctx, terms[c - x : d - x]) for c, d in zip(ends, ends[1:])]
+    return values
+
+
+def _chunks(starts: Sequence[int], lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The rows lo..hi-1 as runs a..b-1 in turn, each the fewest rows holding _CHUNK_TERMS terms, or the rest."""
+    while lo < hi:
+        b = bisect_left(starts, starts[lo - 1] + _CHUNK_TERMS, lo, hi) + 1
+        yield lo, min(b, hi)
+        lo = b
+
+
+def _table(ctx: RingContext, f: int) -> _Rows:
+    """The rows of the f-th Adams operation on V_1..V_q, for f folded into 1..p-1.
 
     The table kernel: it neither reads nor fills the memo.  Each level runs
     the level identity of the module docstring on dense int32 blocks of r,
-    two slice additions per step k; multiplicities stay within q in
+    two slice additions per step k, and keeps the nonzero entries of each
+    read-out as pieces of the next level's rows, put in order of s and
+    joined to the rows once per level.  Multiplicities stay within q in
     magnitude, so int32 is exact.  Every block works in views of one working
     set, allocated once per call and sized for the largest block, since an
     array of 128 KiB or more is mapped afresh on each allocation and would
     fault its pages in again on every block.
     """
     p = ctx.p
-    blocks = []  # (q, lo, h, steps): the h rows r = lo..lo+h-1 of level q
-    plane = out = 0  # int32 cells of the largest accumulator plane and read-out
+    levels = []  # (q, blocks): block (lo, h, steps) holds the h rows r = lo..lo+h-1 of level q
+    plane = out = mirror = 0  # int32 cells of the largest accumulator plane, read-out and input
     q = 1
     while q < ctx.order:
         width = p * q + 1
         rows = max(1, min(q, _BLOCK_CELLS // width))
+        blocks = []
         for lo in range(1, q + 1, rows):
             h = min(rows, q + 1 - lo)
             steps = max(1, min(p - 1, _BLOCK_CELLS // (h * width)))
-            blocks.append((q, lo, h, steps))
+            blocks.append((lo, h, steps))
             plane, out = max(plane, h * width), max(out, steps * h * width)
+            mirror = max(mirror, h * (2 * q + 1))
+        levels.append((q, blocks))
         q *= p
     planes, readout = np.empty(2 * plane, np.int32), np.empty(out, np.int32)
+    inputs = np.empty(2 * mirror, np.int32)
     offsets = _spread_offsets(ctx, f)
-    units = _unit_terms(ctx.order)
-    table = [basis_element(ctx, 1)] + [None] * (ctx.order - 1)
-    for q, lo, h, steps in blocks:
-        _level_block(ctx, table, offsets, units, q, lo, lo + h, steps, planes, readout)
+    one = np.ones(1, np.int32)
+    table = _Rows(np.array([0, 1], np.int64), one, one)
+    for q, blocks in levels:
+        pieces: list = []
+        for lo, h, steps in blocks:
+            _level_block(ctx, table, offsets, q, lo, lo + h, steps, planes, readout, inputs, pieces)
+        pieces.sort(key=itemgetter(0))
+        _, counts, cols, coefs = zip(*pieces)
+        table = _Rows(np.concatenate([table.starts, table.starts[-1] + np.cumsum(np.concatenate(counts))]),
+                      np.concatenate([table.cols, *cols]), np.concatenate([table.coefs, *coefs]))
     return table
 
 
-def _level_block(ctx: RingContext, table: list, offsets: tuple[int, ...], units: list,
+def _level_block(ctx: RingContext, table: _Rows, offsets: tuple[int, ...],
                  q: int, lo: int, hi: int, steps: int,
-                 planes: np.ndarray, readout: np.ndarray) -> None:
-    """Fill table[s - 1] for s = k q + r, k = 1..p-1 and lo <= r < hi.
+                 planes: np.ndarray, readout: np.ndarray, inputs: np.ndarray, pieces: list) -> None:
+    """Append to pieces the rows of s = k q + r, k = 1..p-1 and lo <= r < hi.
 
-    table holds the values on V_1..V_q.  The accumulators are a view of
-    planes and the rows of up to steps steps k are read out through a view
-    of readout, flat int32 arrays large enough for both.
+    table holds the rows of V_1..V_q.  A piece (s, counts, cols, coefs)
+    holds the rows of V_s, V_{s+1}, ... in turn, counts[i] terms each.  The
+    accumulators are a view of planes, the rows of up to steps steps k are
+    read out through a view of readout, and the values on V_r and V_{q-r}
+    are spread from a view of inputs: flat int32 arrays large enough for all
+    three.
     """
     p, h, width = ctx.p, hi - lo, ctx.p * q + 1  # column t holds V_t, for t = 0..pq
-    empty = zero(ctx)
-    on_r = _reflected(table[lo - 1 : hi - 1], q)
-    on_comp = _reflected([table[q - r - 1] if r < q else empty for r in range(lo, hi)], q)
+    mirrored = inputs[: 2 * h * (2 * q + 1)].reshape(2, h, 2 * q + 1)
+    mirrored.fill(0)
+    on_r, on_comp = mirrored
+    _mirror(on_r, table, lo, hi, 0, 1)
+    # row i of on_comp holds V_{q-lo-i}, and stays zero for r = q
+    top = max(1, q + 1 - hi)
+    _mirror(on_comp, table, top, q + 1 - lo, q - lo - top, -1)
     acc = planes[: 2 * h * width].reshape(2, h, width)
     acc.fill(0)
     acc[0, :, 1 : q + 1] = on_r[:, q + 1 :]
@@ -291,47 +417,45 @@ def _level_block(ctx: RingContext, table: list, offsets: tuple[int, ...], units:
         if j == steps - 1 or k == p - 1:
             # column 0 collected the V_0 = 0 terms of spreads at offset 1
             out[: j + 1, :, 0] = 0
-            values = _block_elements(ctx, out[: j + 1], units)
-            for i, kk in enumerate(range(k - j, k + 1)):
-                table[kk * q + lo - 1 : kk * q + hi - 1] = values[i * h : (i + 1) * h]
+            counts, cols, coefs = _nonzeros(out[: j + 1])
+            # the rows of one step k are consecutive in s, and those of all
+            # the steps read out when the block is the whole level, r = 1..q
+            run = h if h < q else (j + 1) * h
+            ends = np.cumsum(counts)[run - 1 :: run].tolist()
+            for i, (x, y) in enumerate(zip([0] + ends, ends)):
+                s = (k - j + i * run // h) * q + lo
+                pieces.append((s, counts[i * run : (i + 1) * run], cols[x:y], coefs[x:y]))
 
 
-def _reflected(values: list[GreenElement], q: int) -> np.ndarray:
-    """One int32 row of width 2q + 1 per value supported on V_1..V_q.
+def _mirror(out: np.ndarray, table: _Rows, a: int, b: int, first: int, step: int) -> None:
+    """Write the values on V_a..V_{b-1}, supported on V_1..V_q, into rows first, first + step, ... of out.
 
-    A term c V_t puts c at column q + t and -c at column q - t, so adding the
-    row at columns base - q .. base + q of an array indexed by V_t adds
-    spread(base, value): +c V_{base+t} - c V_{base-t}.
+    out is zero and 2q + 1 wide.  A term c V_t puts c at column q + t and
+    -c at column q - t, so adding the row at columns base - q .. base + q of
+    an array indexed by V_t adds spread(base, value): +c V_{base+t} - c V_{base-t}.
     """
-    sizes = [len(v.terms) for v in values]
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(v.terms for v in values)),
-                       np.int64, 2 * sum(sizes))
-    at, t, c = np.repeat(np.arange(len(values)), sizes), flat[0::2], flat[1::2]
-    out = np.zeros((len(values), 2 * q + 1), np.int32)
-    out[at, q + t] = c
-    out[at, q - t] = -c
-    return out
+    width = out.shape[1]
+    starts = table.starts[a - 1 : b]
+    x, y = starts[0], starts[-1]
+    cols, coefs = table.cols[x:y], table.coefs[x:y]
+    at = np.repeat(np.arange(first, first + step * (b - a), step) * width + width // 2, np.diff(starts))
+    flat = out.reshape(-1)
+    flat[at + cols] = coefs
+    flat[at - cols] = -coefs
 
 
-def _block_elements(ctx: RingContext, block: np.ndarray, units: list) -> list[GreenElement]:
-    """The elements whose multiplicities are the rows of block, column t for V_t.
+def _nonzeros(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of block in CSR form: how many nonzero entries each row has, their columns and values.
 
     block is C-contiguous, of any number of dimensions, each of its rows of
-    the last axis one element, and column 0 is zero.  Terms of multiplicity
-    +-1 are the shared pairs of units (see core._unit_terms).
+    the last axis one row.  The columns are int32.
     """
     width = block.shape[-1]
     flat = block.reshape(-1)
     # flat positions of a bool mask: numpy's nonzero is much slower on 2-D or int input
     at = np.flatnonzero(flat != 0)
-    coef = flat[at]
-    cols = at % width
-    terms = list(map(units.__getitem__, (2 * cols + (coef < 0)).tolist()))
-    for i in np.flatnonzero(np.abs(coef) > 1).tolist():
-        terms[i] = (int(cols[i]), int(coef[i]))
-    terms = tuple(terms)
-    ends = np.searchsorted(at, np.arange(width, flat.size + 1, width)).tolist()
-    return [GreenElement._from_terms(ctx, terms[a:b]) for a, b in zip([0] + ends, ends)]
+    row, col = np.divmod(at, width)
+    return np.bincount(row, minlength=flat.size // width), col.astype(np.int32), flat[at]
 
 
 def adams(ctx: RingContext, n: int, w: GreenElement) -> GreenElement:
@@ -341,7 +465,7 @@ def adams(ctx: RingContext, n: int, w: GreenElement) -> GreenElement:
     too; the exponent is folded as in adams_basis.
     """
     _check_context(ctx, w)
-    n = fold_exponent(ctx, _check_exponent(ctx, n))
+    n = _folded(ctx, n)
     if len(w.terms) == 1 and w.terms[0][1] == 1:
         # a basis module: the memoized value itself rather than a copy of it
         return _adams_basis(ctx, n, w.terms[0][0])

@@ -23,14 +23,14 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .adams import adams, adams_table
+import numpy as np
+
+from .adams import _chunks, _folded, _Rows, _table_rows, adams
 from .core import (
     GreenElement,
     RingContext,
-    _expression,
-    _term_text,
     basis_element,
     format_element,
     multiply,
@@ -146,7 +146,7 @@ def _cmd_power(args: argparse.Namespace, kind: str) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     ctx = RingContext(args.p, args.nu)
-    chunks = _table_chunks(ctx, args.n, adams_table(ctx, args.n), args.format)
+    chunks = _table_chunks(ctx, args.n, _table_rows(ctx, _folded(ctx, args.n)).rows, args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -159,43 +159,76 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-class _TermText(dict):
-    """The text of each distinct term, made on its first lookup."""
-
-    def __init__(self, make: Callable[[tuple[int, int]], str]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, term: tuple[int, int]) -> str:
-        text = self[term] = self.make(term)
-        return text
+# each format's _pieces, for t = 0..(the largest q asked for so far)
+_PIECES: dict[str, np.ndarray] = {}
 
 
-def _table_chunks(ctx: RingContext, n: int, values: list[GreenElement], fmt: str) -> Iterator[str]:
-    """The table's text a row at a time, so the whole of it is never built twice.
+def _pieces(fmt: str, q: int) -> np.ndarray:
+    """The text of each term c V_t with c = +-1 in a table row, at 4 t + 2 first + (c < 0), t = 0..q at least.
 
-    Rows are the CSV lines of format_element or the compact json.dumps of
-    {"p", "nu", "n", "rows": [...]}; the text of each distinct term is made
-    once per table, keyed by its (shared) term tuple.  The dim field of row s
-    is s itself, since dim psi^n(x) = dim x: `verify --suite dimension`
-    checks that identity for every fold class and every s on the same table
-    kernel that `table` prints, tests/test_cli.py compares whole tables with
-    dim(v) taken from the per-value route, and the benchmark's checks derive
-    each row's dimension again from its expression.
+    first marks the row's first term as printed: its highest index in CSV,
+    where a term reads " + Vt" or " - Vt" and a first one "Vt" or "-Vt", and
+    its lowest in JSON, where a term reads ',"t":1' or ',"t":-1' and a first
+    one the same without the comma.  One array per format serves every q,
+    extended when a larger q comes.
     """
+    pieces = _PIECES.get(fmt)
+    if pieces is None or len(pieces) <= 4 * q:
+        if fmt == "csv":
+            texts = ((f" + V{t}", f" - V{t}", f"V{t}", f"-V{t}") for t in range(q + 1))
+        else:
+            texts = ((f',"{t}":1', f',"{t}":-1', f'"{t}":1', f'"{t}":-1') for t in range(q + 1))
+        pieces = _PIECES[fmt] = np.array([text for four in texts for text in four], object)
+    return pieces
+
+
+def _wide_text(fmt: str, t: int, c: int, first: bool) -> str:
+    """The text of a term c V_t with |c| > 1, as format_element or to_dict writes it."""
     if fmt == "csv":
-        text = _TermText(_term_text)
-        yield "s,dim,expression\n"
-        for s, v in enumerate(values, 1):
-            yield f"{s},{s},{_expression(map(text.__getitem__, reversed(v.terms)))}\n"
-        return
-    text = _TermText(lambda term: f'"{term[0]}":{term[1]}')
+        sign = ("" if c > 0 else "-") if first else (" + " if c > 0 else " - ")
+        return f"{sign}{abs(c)}V{t}"
+    return f'{"" if first else ","}"{t}":{c}'
+
+
+def _table_chunks(ctx: RingContext, n: int, rows: _Rows, fmt: str) -> Iterator[str]:
+    """The table's text, made from its rows a chunk of about adams._CHUNK_TERMS terms at a time.
+
+    Rows are the CSV lines of format_element (each row's terms read in
+    descending order) or the compact json.dumps of {"p", "nu", "n",
+    "rows": [...]} (ascending); a row without terms prints 0 or {}.  Each
+    term's text is looked up in _pieces for a whole chunk at once, and only a
+    multiplicity other than +-1 is written on its own.  The dim field of
+    row s is s itself, since dim psi^n(x) = dim x: `verify --suite
+    dimension` checks that identity for every fold class and every s on the
+    same table kernel that `table` prints, tests/test_cli.py compares whole
+    tables with dim(v) taken from the per-value route, and the benchmark's
+    checks derive each row's dimension again from its expression.
+    """
+    csv = fmt == "csv"
+    pieces = _pieces(fmt, ctx.order)
     head = f'"element":{{"p":{ctx.p},"nu":{ctx.nu},"coeffs":{{'
-    yield f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":['
-    for s, v in enumerate(values, 1):
-        coeffs = ",".join(map(text.__getitem__, v.terms))
-        yield f'{"," if s > 1 else ""}{{"s":{s},"dim":{s},{head}{coeffs}}}}}}}'
-    yield "]}\n"
+    yield "s,dim,expression\n" if csv else f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":['
+    for lo, hi in _chunks(rows.starts, 1, len(rows.starts)):
+        starts = rows.starts[lo - 1 : hi]
+        counts = np.diff(starts)
+        at = np.arange(starts[0], starts[-1])
+        first = at == np.repeat(starts[:-1], counts)
+        # CSV prints each row backwards: place i of a row a..b-1 reads a + b - 1 - i
+        src = np.repeat(starts[:-1] + starts[1:] - 1, counts) - at if csv else at
+        t, c = rows.cols[src], rows.coefs[src]
+        texts = pieces[4 * t + 2 * first + (c < 0)].tolist()
+        for i in np.flatnonzero(np.abs(c) > 1).tolist():
+            texts[i] = _wide_text(fmt, int(t[i]), int(c[i]), bool(first[i]))
+        ends = (starts - starts[0]).tolist()
+        if csv:
+            lines = [f"{s},{s},{''.join(texts[x:y]) or '0'}\n"
+                     for s, x, y in zip(range(lo, hi), ends, ends[1:])]
+        else:
+            lines = [f'{"," if s > 1 else ""}{{"s":{s},"dim":{s},{head}{"".join(texts[x:y])}}}}}}}'
+                     for s, x, y in zip(range(lo, hi), ends, ends[1:])]
+        yield "".join(lines)
+    if not csv:
+        yield "]}\n"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -18,7 +18,17 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .adams import _reflected, _shape_violation, _table, adams, adams_basis, fold_exponent, signs_alternate
+from .adams import (
+    _keyed,
+    _Rows,
+    _shape_violation,
+    _table,
+    _values,
+    adams,
+    adams_basis,
+    fold_exponent,
+    signs_alternate,
+)
 from .core import (
     GreenElement,
     RingContext,
@@ -142,37 +152,40 @@ class _Sweep(NamedTuple):
     """An exponent sweep: one clause over the raw exponents ns, each on every case.
 
     failures(group, table, rows) gets the exponents of ns in one fold class
-    and that class's table and dense view (see _sweep_failures); it returns
-    {n: {case: text}} for the failing cases only.
+    and that class's table rows and dense view (see _sweep_failures); it
+    returns {n: {case: text}} for the failing cases only.
     """
 
     label: str
     ns: list[int]
     cases: Sequence
-    failures: Callable[[list[int], list[GreenElement], np.ndarray], dict]
+    failures: Callable[[list[int], _Rows, np.ndarray], dict]
 
 
 def _sweep_failures(ctx: RingContext, sweeps: dict[str, _Sweep]) -> dict[str, dict[int, dict]]:
     """{name: {n: {case: text}}} for the failing cases, from one walk over the fold classes.
 
-    Each class f the sweeps meet gets one table, _table(ctx, f), and one
-    dense int32 view of it, row s - 1 the value on V_s with column t = V_t
-    for t = 0..q, exact as every multiplicity of an Adams value is at most q.
+    Each class f the sweeps meet gets one table, the rows _table(ctx, f),
+    and one dense int32 view of it scattered from the rows, row s - 1 the
+    value on V_s with column t = V_t for t = 0..q.
     """
     classes: dict[int, dict[str, list[int]]] = {}
     for name, sweep in sweeps.items():
         for n in sweep.ns:
             classes.setdefault(fold_exponent(ctx, n), {}).setdefault(name, []).append(n)
     found = {name: {} for name in sweeps}
+    q = ctx.order
     for f, groups in classes.items():
         table = _table(ctx, f)
-        rows = _reflected(table, ctx.order)[:, ctx.order :]
+        rows = np.zeros((q, q + 1), np.int32)
+        at = np.repeat(np.arange(0, q * (q + 1), q + 1), np.diff(table.starts))
+        rows.reshape(-1)[at + table.cols] = table.coefs
         for name, group in groups.items():
             found[name].update(sweeps[name].failures(group, table, rows))
     return found
 
 
-def _class_wide(check: Callable[[int, list[GreenElement], np.ndarray], dict]) -> Callable:
+def _class_wide(check: Callable[[int, _Rows, np.ndarray], dict]) -> Callable:
     """A sweep's failures from a check whose verdict is one per fold class.
 
     check(n, table, rows) returns {case: text} for the failing cases.  It
@@ -324,7 +337,7 @@ def _reciprocity(ctx: RingContext) -> _Sweep:
 def _shape(ctx: RingContext) -> _Sweep:
     def check(n, table, rows):
         bad = {}
-        for s, value in enumerate(table, 1):
+        for s, value in enumerate(_values(ctx, _keyed(ctx, table), 1, ctx.order + 1), 1):
             clause = _shape_violation(ctx, n, s, value)
             if clause is not None:
                 bad[s] = f"s={s}, clause={clause.value}"

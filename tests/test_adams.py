@@ -1,3 +1,5 @@
+import importlib
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -36,9 +38,13 @@ from greenring import (
     to_dict,
     zero,
 )
-from greenring.adams import _block_elements, _context_cache, signs_alternate
+from greenring.adams import _context_cache, _keyed, _nonzeros, _Rows, _values, signs_alternate
+from greenring.cli import _table_chunks, main
 from greenring.core import _unit_terms
 from greenring.suites import _af_adams, _restricted
+
+# the module, which the package's function of the same name hides
+adams_module = importlib.import_module("greenring.adams")
 
 CTX7 = RingContext(7, 2)
 CTX3 = RingContext(3, 2)
@@ -242,16 +248,56 @@ def test_cold_table_faults_its_working_set_in_once():
     assert int(proc.stdout) < 1000
 
 
-def test_table_readout_keeps_wide_multiplicities():
+@pytest.mark.parametrize("chunk", [1, 5, 7, adams_module._CHUNK_TERMS])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_readout_and_text_keep_wide_multiplicities(chunk, fmt, monkeypatch):
     # Adams values have multiplicities +-1 only, so the table never meets
-    # another; the read-out must still keep any int32 multiplicity
+    # another; the read-out and the text must still keep any int32
+    # multiplicity, and an empty row.  The rows hold 4, 0, 2 and 1 terms: a
+    # chunk of 1 term ends after every row with terms, one of 5 after the
+    # third row, one of 7 or the default after the last
+    monkeypatch.setattr(adams_module, "_CHUNK_TERMS", chunk)
     ctx = RingContext(5, 2)
     block = np.array([[[0, 1, -1, 0, 2, 0, -3], [0, 0, 0, 0, 0, 0, 0]],
                       [[0, 0, 7, 0, 0, 0, 1], [0, -1, 0, 0, 0, 0, 0]]], np.int32)
-    got = _block_elements(ctx, block, _unit_terms(ctx.order))
+    counts, cols, coefs = _nonzeros(block)
+    rows = _Rows(np.concatenate([[0], np.cumsum(counts)]), cols, coefs)
+    got = _values(ctx, _keyed(ctx, rows), 1, 5)
     assert [v.terms for v in got] == [
         ((1, 1), (2, -1), (4, 2), (6, -3)), (), ((2, 7), (6, 1)), ((1, -1),)]
     assert got[0].terms[0] is _unit_terms(ctx.order)[2]
+    assert [_values(ctx, _keyed(ctx, rows), s, s + 1)[0] for s in range(1, 5)] == got
+    # the rows' text, as format_element and to_dict write the same elements
+    text = "".join(_table_chunks(ctx, 3, rows, fmt))
+    if fmt == "csv":
+        want = "s,dim,expression\n" + "".join(
+            f"{s},{s},{format_element(v)}\n" for s, v in enumerate(got, 1))
+    else:
+        want = '{"p":5,"nu":2,"n":3,"rows":[' + ",".join(
+            json.dumps({"s": s, "dim": s, "element": to_dict(v)}, separators=(",", ":"))
+            for s, v in enumerate(got, 1)) + "]}\n"
+    assert text == want
+
+
+@pytest.mark.parametrize("p, nu", [(7, 2), (3, 3)])
+def test_memo_reads_the_table_rows(p, nu, monkeypatch, capsys):
+    # after `table`, a value of that fold class comes from the table's rows
+    # without running the recursion; after clear_cache it recurses again
+    ctx = RingContext(p, nu)
+    memo = {}
+    want = [reference_adams_basis(ctx, 2, s, memo) for s in range(1, ctx.order + 1)]
+    clear_cache(ctx)
+    assert main(["table", "--p", str(p), "--nu", str(nu), "--n", str(2 * p - 2)]) == 0
+    capsys.readouterr()
+
+    def no_recursion(*args):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(adams_module, "_spread_into", no_recursion)
+    assert [adams_basis(ctx, 2, s) for s in range(1, ctx.order + 1)] == want
+    clear_cache(ctx)
+    with pytest.raises(AssertionError, match="the recursion ran"):
+        adams_basis(ctx, 2, ctx.order)
 
 
 class TestAdamsWorkedValues:
