@@ -33,7 +33,9 @@ There are two routes, one per job:
   from its row (_values, the one maker of elements from the rows, which
   adams_table uses too) instead of recursing; and the suites' one walk
   over the fold classes, which builds one table per class for all five
-  exponent sweeps, scatters a dense view from the rows, and leaves the
+  exponent sweeps and no element: the shape sweep checks the rows
+  (_shape_clauses, which shape_check runs on one row), the other four
+  read a dense view scattered from them, and the walk leaves the
   memo as it found it.  A level is a pair of dense int32 arrays per block
   of r, and each step k is two slice additions, one per spread; the values
   on V_r and V_{q-r} are scattered into the block from the lower levels'
@@ -309,9 +311,9 @@ def _table_rows(ctx: RingContext, f: int) -> _Keyed:
 def _values(ctx: RingContext, table: _Keyed, lo: int, hi: int) -> list[GreenElement]:
     """The values on V_lo..V_{hi-1} as elements, built from a table's rows a chunk at a time.
 
-    The one maker of elements from the rows: the memo, adams_table and
-    the shape sweep read their elements through it.  Terms of multiplicity +-1
-    are the shared pairs of units (see core._unit_terms).
+    The one maker of elements from the rows: the memo and adams_table read
+    their elements through it.  Terms of multiplicity +-1 are the shared
+    pairs of units (see core._unit_terms).
     """
     _, starts, keys, wide, units = table
     values = []
@@ -517,29 +519,34 @@ def signs_alternate(value: GreenElement) -> bool:
 
 
 def shape_check(ctx: RingContext, n: int, s: int) -> ShapeVerdict:
-    """Check the structural law for the value on V_s (see _shape_violation)."""
+    """Check the structural law for the value on V_s (see _shape_clauses)."""
     value = adams_basis(ctx, n, s)
-    violated = _shape_violation(ctx, n, s, value)
+    cols, coefs = np.array(value.terms, np.int64).reshape(-1, 2).T
+    violated = _shape_clauses(ctx, n, _Rows(np.array([0, cols.size]), cols, coefs), s)[0]
     return ShapeVerdict(violated is None, violated, value)
 
 
-def _shape_violation(ctx: RingContext, n: int, s: int, value: GreenElement) -> ShapeClause | None:
-    """The first clause of the structural law that value, the n-th operation on V_s, breaks.
+def _shape_clauses(ctx: RingContext, n: int, rows: _Rows, lo: int) -> list[ShapeClause | None]:
+    """The first clause of the structural law that each row breaks, None where all hold.
 
-    Clauses, in order: all multiplicities lie in {-1, 0, 1}; the nonzero
-    multiplicities alternate in sign in descending index order starting with
-    +1; the largest index is at most p^level(s); indices are all odd when n
-    is even, and all of the parity of s when n is odd.  None when all hold.
+    Row i is the n-th operation on V_{lo+i}, its terms ascending from
+    starts[0] = 0.  Clauses, in order: all multiplicities lie in {-1, 0, 1};
+    the nonzero multiplicities alternate in sign in descending index order
+    starting with +1; the largest index is at most p^level(s); indices are
+    all odd when n is even, and all of the parity of s when n is odd.  A row
+    breaks a clause when one of its terms does.
     """
-    terms = value.terms
-    if any(abs(c) > 1 for _, c in terms):
-        return ShapeClause.COEFFICIENTS
-    if not signs_alternate(value):
-        return ShapeClause.ALTERNATION
-    bound = ctx.p ** ctx.level(s)
-    if terms and terms[-1][0] > bound:
-        return ShapeClause.INDEX_BOUND
-    want = 1 if n % 2 == 0 else s % 2
-    if any(r % 2 != want for r, _ in terms):
-        return ShapeClause.PARITY
-    return None
+    starts, cols, coefs = rows
+    h = len(starts) - 1
+    row = np.repeat(np.arange(h), np.diff(starts))
+    s = np.arange(lo, lo + h)
+    powers = ctx.p ** np.arange(ctx.nu + 1)
+    bound = powers[np.searchsorted(powers, s)]  # p^level(s)
+    want = np.ones(h, np.int64) if n % 2 == 0 else s % 2
+    last = np.diff(row, append=h) != 0  # a row's leading term, its largest index, is its last
+    twin = (np.diff(coefs, append=0) == 0) & ~last  # equal to the next term of its row
+    broken = [np.bincount(row[bad], minlength=h) > 0
+              for bad in ((coefs > 1) | (coefs < -1), twin | last & (coefs != 1),
+                          last & (cols > bound[row]), cols % 2 != want[row])]
+    verdicts = (*ShapeClause, None)
+    return [verdicts[i] for i in np.argmax([*broken, np.ones(h, bool)], axis=0).tolist()]

@@ -19,14 +19,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .adams import (
-    _keyed,
     _Rows,
-    _shape_violation,
+    _shape_clauses,
     _table,
-    _values,
     adams,
     adams_basis,
     fold_exponent,
+    shape_check,
     signs_alternate,
 )
 from .core import (
@@ -103,8 +102,8 @@ def _valid_exponents(ctx: RingContext, bound: int) -> list[int]:
 def paired_structure_ok(ctx: RingContext, n: int, s: int, m: int) -> bool:
     """Joint structure of the values on V_s and its complement V_{p^m - s}.
 
-    Even n: the two values sum to the regular module and exactly one of them
-    carries the regular summand, with all other indices odd.  Odd n: the value
+    Even n: the two values sum to the regular module, exactly one of them
+    carries the regular summand, and both obey the shape law.  Odd n: the value
     on the complement is the index reflection of the value on the odd-side
     module, reversed with alternating signs, and the odd side has an odd
     number of terms.
@@ -117,14 +116,8 @@ def paired_structure_ok(ctx: RingContext, n: int, s: int, m: int) -> bool:
             return False
         if sorted((a_val.coeff(pm), b_val.coeff(pm))) != [0, 1]:
             return False
-        for value in (a_val, b_val):
-            if any(abs(c) != 1 for _, c in value.items()):
-                return False
-            if not signs_alternate(value):
-                return False
-            if any(r % 2 == 0 for r, _ in value.items() if r != pm):
-                return False
-        return True
+        # the complement of V_pm is V_0 = 0
+        return all(shape_check(ctx, n, t).ok for t in (s, pm - s) if t)
     # odd n: pick the side with an odd-dimensional module as the reference
     if s % 2 == 1 or ctx.p == 2:
         ref, other = a_val, b_val
@@ -167,7 +160,8 @@ def _sweep_failures(ctx: RingContext, sweeps: dict[str, _Sweep]) -> dict[str, di
 
     Each class f the sweeps meet gets one table, the rows _table(ctx, f),
     and one dense int32 view of it scattered from the rows, row s - 1 the
-    value on V_s with column t = V_t for t = 0..q.
+    value on V_s with column t = V_t for t = 0..q.  No sweep builds an
+    element: shape reads the rows, the others the view.
     """
     classes: dict[int, dict[str, list[int]]] = {}
     for name, sweep in sweeps.items():
@@ -202,12 +196,14 @@ def _class_wide(check: Callable[[int, _Rows, np.ndarray], dict]) -> Callable:
 
 
 def _restricted(ctx: RingContext, rows: np.ndarray) -> np.ndarray:
-    """Rows of V_1..V_q restricted to the subgroup of order p, as int64 rows of V_1..V_p.
+    """Rows of V_1..V_q restricted to the subgroup of order p, as rows of V_1..V_p, int64 if nu > 1.
 
     With m = p^(nu-1), V_{am+b} restricts to b V_{a+1} + (m-b) V_a for
     1 <= b <= m, as (g - 1)^m = g^m - 1 in characteristic p: the columns fall
     into p blocks a of m columns b.  At nu = 1 the restriction is the identity.
     """
+    if ctx.nu == 1:
+        return rows
     p, m = ctx.p, ctx.order // ctx.p
     blocks = rows.reshape(len(rows), p, m)
     b = np.arange(1, m + 1, dtype=np.int64)
@@ -336,12 +332,8 @@ def _reciprocity(ctx: RingContext) -> _Sweep:
 
 def _shape(ctx: RingContext) -> _Sweep:
     def check(n, table, rows):
-        bad = {}
-        for s, value in enumerate(_values(ctx, _keyed(ctx, table), 1, ctx.order + 1), 1):
-            clause = _shape_violation(ctx, n, s, value)
-            if clause is not None:
-                bad[s] = f"s={s}, clause={clause.value}"
-        return bad
+        clauses = enumerate(_shape_clauses(ctx, n, table, 1), 1)
+        return {s: f"s={s}, clause={clause.value}" for s, clause in clauses if clause is not None}
 
     return _Sweep(_SHAPE_LABEL, _valid_exponents(ctx, ctx.order), range(1, ctx.order + 1),
                   _class_wide(check))

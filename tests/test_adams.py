@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from greenring import (
     IndexRangeError,
     RingContext,
     ShapeClause,
+    ShapeVerdict,
     SupportError,
     adams,
     adams_basis,
@@ -38,7 +40,16 @@ from greenring import (
     to_dict,
     zero,
 )
-from greenring.adams import _context_cache, _keyed, _nonzeros, _Rows, _values, signs_alternate
+from greenring.adams import (
+    _context_cache,
+    _keyed,
+    _nonzeros,
+    _Rows,
+    _shape_clauses,
+    _table,
+    _values,
+    signs_alternate,
+)
 from greenring.cli import _table_chunks, main
 from greenring.core import _unit_terms
 from greenring.suites import _af_adams, _restricted
@@ -611,6 +622,74 @@ class TestShapeCheck:
             "index_bound",
             "parity",
         ]
+
+
+def reference_shape_clause(ctx, n, s, terms):
+    """The first clause of the structural law that the value with these terms breaks, or None.
+
+    terms are the (index, multiplicity) pairs of the n-th operation on V_s,
+    ascending.  Clauses, in order: all multiplicities lie in {-1, 0, 1}; the
+    nonzero multiplicities alternate in sign in descending index order
+    starting with +1; the largest index is at most p^level(s); indices are
+    all odd when n is even, and all of the parity of s when n is odd.
+    """
+    if any(abs(c) > 1 for _, c in terms):
+        return ShapeClause.COEFFICIENTS
+    signs = [c for _, c in reversed(terms)]
+    if signs and (signs[0] != 1 or any(a == b for a, b in zip(signs, signs[1:]))):
+        return ShapeClause.ALTERNATION
+    if terms and terms[-1][0] > ctx.p ** ctx.level(s):
+        return ShapeClause.INDEX_BOUND
+    want = 1 if n % 2 == 0 else s % 2
+    if any(r % 2 != want for r, _ in terms):
+        return ShapeClause.PARITY
+    return None
+
+
+@pytest.mark.parametrize("draw", [0, 1])
+@pytest.mark.parametrize("p, nu", [(31, 2), (2, 10), (3, 6), (7, 3)])
+def test_shape_clauses_match_a_per_value_reference(p, nu, draw, monkeypatch):
+    # a sampled fold class, clean and then with three planted faults of each
+    # kind in rows of their own: a flipped sign, a doubled multiplicity and
+    # an index moved by one, which keeps the row ascending as neighbouring
+    # indices of one parity differ by 2 or more; and in one more row below
+    # the top level the leading index moved past its bound.  Every row's
+    # verdict must be the reference's, and every planted row must fail
+    ctx, q = RingContext(p, nu), p**nu
+    rng = random.Random(4409 + 100 * draw + p)
+    f = rng.randrange(1, p)
+    n = rng.choice((f, 2 * p - f))
+    table = _table(ctx, f)
+
+    def reference(rows):
+        starts, cols, coefs = (a.tolist() for a in rows)
+        return [reference_shape_clause(ctx, n, s, list(zip(cols[a:b], coefs[a:b])))
+                for s, (a, b) in enumerate(zip(starts, starts[1:]), 1)]
+
+    assert _shape_clauses(ctx, n, table, 1) == reference(table) == [None] * q
+    cols, coefs = table.cols.copy(), table.coefs.copy()
+    planted = rng.sample(range(1, q + 1), 9)
+    for k, s in enumerate(planted):
+        i = rng.randrange(table.starts[s - 1], table.starts[s])
+        if k < 3:
+            coefs[i] = -coefs[i]
+        elif k < 6:
+            coefs[i] *= 2
+        else:
+            cols[i] += 1 if cols[i] < q else -1
+    s = rng.choice([s for s in range(1, q // p + 1) if s not in planted])
+    cols[table.starts[s] - 1] = p ** ctx.level(s) + 1
+    planted.append(s)
+    faulty = _Rows(table.starts, cols, coefs)
+    got = _shape_clauses(ctx, n, faulty, 1)
+    assert got == reference(faulty)
+    assert {got[s - 1] for s in planted} == set(ShapeClause)
+    # one row at a time through shape_check, which reads the value from adams_basis
+    for s in planted:
+        a, b = table.starts[s - 1], table.starts[s]
+        value = GreenElement.from_terms(ctx, list(zip(cols[a:b].tolist(), coefs[a:b].tolist())))
+        monkeypatch.setattr(adams_module, "adams_basis", lambda *_: value)
+        assert shape_check(ctx, n, s) == ShapeVerdict(False, got[s - 1], value)
 
 
 class TestZeroAndLinearity:

@@ -339,7 +339,7 @@ class TestVerifyCommand:
         # Each line counts its failing cases and names the first one in
         # sweep order, alone and under "all", where the sweeps share tables
         real_table = suites._table
-        real_shape_violation = suites._shape_violation
+        real_shape_clauses = suites._shape_clauses
 
         def table(c, f):
             rows = real_table(c, f)
@@ -349,13 +349,14 @@ class TestVerifyCommand:
                                   np.delete(rows.cols, np.s_[a:b]), np.delete(rows.coefs, np.s_[a:b]))
             return rows
 
-        def shape_violation(c, n, s, value):
-            if (n, s) == (2, 7):
-                return ShapeClause.PARITY
-            return real_shape_violation(c, n, s, value)
+        def shape_clauses(c, n, rows, lo):
+            clauses = real_shape_clauses(c, n, rows, lo)
+            if n == 2:
+                clauses[7 - lo] = ShapeClause.PARITY
+            return clauses
 
         monkeypatch.setattr(suites, "_table", table)
-        monkeypatch.setattr(suites, "_shape_violation", shape_violation)
+        monkeypatch.setattr(suites, "_shape_clauses", shape_clauses)
         assert main(["verify", "--p", "3", "--nu", "2", "--suite", "dimension"]) == 1
         assert capsys.readouterr().out == (
             "[dimension] dimension preserved on basis: 34/36 pass;"
