@@ -25,16 +25,15 @@ There are two routes, one per job:
   holds no exponent >= p.
 - the table kernel _table runs the level identity for every value of one
   fold class at once.  Its one output is the table's rows in compressed
-  sparse row form (_Rows: starts, cols, coefs), and it has three readers:
-  the `table` command, which writes its text from the rows a chunk at a
-  time and leaves them in the memo; the memo, which keeps each fold
-  class's rows with every term's place among the shared unit pairs
-  (_keyed), and where adams_basis builds a missing value of that class
-  from its row (_values, the one maker of elements from the rows, which
-  adams_table uses too) instead of recursing; and the suites' one walk
-  over the fold classes, which builds one table per class for all five
-  exponent sweeps and no element: the shape sweep checks the rows
-  (_shape_clauses, which shape_check runs on one row), the other four
+  sparse row form (_Rows: starts, cols, coefs), and it has three readers.
+  The `table` command writes its text from the rows a chunk at a time and
+  leaves them in the memo, where adams_basis (and adams_table) builds a
+  missing value of that class from its row (_values) instead of recursing;
+  both take the rows through _keyed, which raises on a multiplicity other
+  than +-1.  The suites' one walk calls _table itself, once per fold class
+  for all five exponent sweeps, and builds no element: the shape sweep
+  checks the rows (_shape_clauses, which shape_check runs on one row), so
+  it reports a kernel that breaks the law clause by clause, the other four
   read a dense view scattered from them, and the walk leaves the
   memo as it found it.  A level is a pair of dense int32 arrays per block
   of r, and each step k is two slice additions, one per spread; the values
@@ -104,23 +103,23 @@ class _Keyed(NamedTuple):
     rows: _Rows
     starts: list[int]  # rows.starts as Python ints
     keys: np.ndarray  # int32, the place in units of each term's shared pair
-    wide: list[int]  # the places of the terms of multiplicity other than +-1
     units: list  # core._unit_terms(q)
 
 
 def _keyed(ctx: RingContext, rows: _Rows) -> _Keyed:
     """The rows of a table at ctx, with each term's place among the shared unit pairs.
 
-    A term c V_t with c = +-1 has its pair at 2 t + (c < 0) of
-    core._unit_terms(q).  Worked out for the whole table at once, with the
-    row starts as Python ints, this leaves a single value's read from the
-    rows to one slice of keys and one list lookup per term.
+    A term c V_t has its pair at 2 t + (c < 0) of core._unit_terms(q): with
+    the places and row starts worked out for the whole table at once, a
+    value's read is one slice of keys and one list lookup per term.  The
+    shape law allows no multiplicity but +-1, so another is a kernel fault.
     """
     coefs = rows.coefs
+    if ((coefs > 1) | (coefs < -1)).any():
+        raise AssertionError("internal consistency failure: an Adams table has a multiplicity other than +-1")
     keys = rows.cols * 2
     keys += coefs < 0
-    wide = np.flatnonzero((coefs > 1) | (coefs < -1)).tolist()
-    return _Keyed(rows, rows.starts.tolist(), keys, wide, _unit_terms(ctx.order))
+    return _Keyed(rows, rows.starts.tolist(), keys, _unit_terms(ctx.order))
 
 
 class _Memo(dict):
@@ -312,18 +311,14 @@ def _values(ctx: RingContext, table: _Keyed, lo: int, hi: int) -> list[GreenElem
     """The values on V_lo..V_{hi-1} as elements, built from a table's rows a chunk at a time.
 
     The one maker of elements from the rows: the memo and adams_table read
-    their elements through it.  Terms of multiplicity +-1 are the shared
-    pairs of units (see core._unit_terms).
+    their elements through it.
     """
-    _, starts, keys, wide, units = table
+    _, starts, keys, units = table
     values = []
     for a, b in _chunks(starts, lo, hi):
         ends = starts[a - 1 : b]
         x, y = ends[0], ends[-1]
-        terms = list(map(units.__getitem__, keys[x:y].tolist()))
-        for i in wide[bisect_left(wide, x) : bisect_left(wide, y)]:
-            terms[i - x] = (int(table.rows.cols[i]), int(table.rows.coefs[i]))
-        terms = tuple(terms)
+        terms = tuple(map(units.__getitem__, keys[x:y].tolist()))
         values += [GreenElement._from_terms(ctx, terms[c - x : d - x]) for c, d in zip(ends, ends[1:])]
     return values
 
@@ -538,7 +533,7 @@ def _shape_clauses(ctx: RingContext, n: int, rows: _Rows, lo: int) -> list[Shape
     """
     starts, cols, coefs = rows
     h = len(starts) - 1
-    row = np.repeat(np.arange(h), np.diff(starts))
+    row = np.repeat(np.arange(h, dtype=np.int32), np.diff(starts))
     s = np.arange(lo, lo + h)
     powers = ctx.p ** np.arange(ctx.nu + 1)
     bound = powers[np.searchsorted(powers, s)]  # p^level(s)

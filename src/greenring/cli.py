@@ -182,22 +182,14 @@ def _pieces(fmt: str, q: int) -> np.ndarray:
     return pieces
 
 
-def _wide_text(fmt: str, t: int, c: int, first: bool) -> str:
-    """The text of a term c V_t with |c| > 1, as format_element or to_dict writes it."""
-    if fmt == "csv":
-        sign = ("" if c > 0 else "-") if first else (" + " if c > 0 else " - ")
-        return f"{sign}{abs(c)}V{t}"
-    return f'{"" if first else ","}"{t}":{c}'
-
-
 def _table_chunks(ctx: RingContext, n: int, rows: _Rows, fmt: str) -> Iterator[str]:
     """The table's text, made from its rows a chunk of about adams._CHUNK_TERMS terms at a time.
 
     Rows are the CSV lines of format_element (each row's terms read in
     descending order) or the compact json.dumps of {"p", "nu", "n",
     "rows": [...]} (ascending); a row without terms prints 0 or {}.  Each
-    term's text is looked up in _pieces for a whole chunk at once, and only a
-    multiplicity other than +-1 is written on its own.  The dim field of
+    term's text is looked up in _pieces for a whole chunk at once: rows come
+    through adams._keyed, so every multiplicity is +-1.  The dim field of
     row s is s itself, since dim psi^n(x) = dim x: `verify --suite
     dimension` checks that identity for every fold class and every s on the
     same table kernel that `table` prints, tests/test_cli.py compares whole
@@ -217,8 +209,6 @@ def _table_chunks(ctx: RingContext, n: int, rows: _Rows, fmt: str) -> Iterator[s
         src = np.repeat(starts[:-1] + starts[1:] - 1, counts) - at if csv else at
         t, c = rows.cols[src], rows.coefs[src]
         texts = pieces[4 * t + 2 * first + (c < 0)].tolist()
-        for i in np.flatnonzero(np.abs(c) > 1).tolist():
-            texts[i] = _wide_text(fmt, int(t[i]), int(c[i]), bool(first[i]))
         ends = (starts - starts[0]).tolist()
         if csv:
             lines = [f"{s},{s},{''.join(texts[x:y]) or '0'}\n"

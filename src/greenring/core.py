@@ -131,7 +131,7 @@ class RingContext:
         return f"RingContext(p={self.p}, nu={self.nu})"
 
 
-# The shape law makes almost every multiplicity of an Adams value +-1, so the
+# The shape law makes every multiplicity of an Adams value +-1, so the
 # (r, 1) and (r, -1) terms are shared between elements: a stored term then costs
 # one pointer, and the memory of a table does not follow its supports.  It
 # holds at most two pairs per index, so twice the largest group order in use.

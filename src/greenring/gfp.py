@@ -41,8 +41,7 @@ def mod_inverse(x: int, p: int) -> int:
 def jordan_block(r: int) -> np.ndarray:
     """Unipotent r x r Jordan block: ones on the diagonal and superdiagonal."""
     m = np.eye(r, dtype=np.int64)
-    for i in range(r - 1):
-        m[i, i + 1] = 1
+    m.flat[1 :: r + 1] = 1
     return m
 
 
@@ -92,19 +91,31 @@ def pivot_rows(m: np.ndarray, p: int) -> list[int]:
     by at most (p-1)^2, min(d, n)*(p-1)^2 in all before its row is reached; a
     row with a multiple of p left in the pivot column takes a zero update.
     The multiplier is formed in int64, since a narrow array times a Python
-    int keeps the narrow dtype, and cast back once reduced.
+    int keeps the narrow dtype, and cast back once reduced.  If m is no
+    taller than wide and its nonzero rows have distinct leading columns (as
+    for a Jordan block's N and Krylov stack), they are independent pivots.
     """
     d, n = np.shape(m)
     a = reduced(m, p, elimination_dtype(d, n, p))
+    if 0 < d <= n:
+        rows = np.flatnonzero(a.any(axis=1))
+        # not np.unique, whose first call imports numpy.ma (about 13 ms, 1 MB)
+        if np.bincount((a != 0).argmax(axis=1)[rows]).max(initial=0) <= 1:
+            return rows.tolist()
+    return _eliminate(a, p)
+
+
+def _eliminate(a: np.ndarray, p: int) -> list[int]:
+    """pivot_rows by its row loop, on its working copy a, which it overwrites."""
     pivots: list[int] = []
-    for i in range(d):
+    for i in range(len(a)):
         row = a[i]
         row %= p
         support = row.nonzero()[0]
         if not len(support):
             continue
         pivots.append(i)
-        if len(pivots) == n:
+        if len(pivots) == a.shape[1]:
             break
         j = support[0]
         below = a[i + 1 :, j]

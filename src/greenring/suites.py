@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -214,6 +215,7 @@ def _restricted(ctx: RingContext, rows: np.ndarray) -> np.ndarray:
     return out[:, 1:]
 
 
+@lru_cache(maxsize=1)
 def _af_adams(p: int, n: int) -> np.ndarray:
     """psi^n on V_0..V_p at (p, 1) for a raw exponent n prime to p, by the closed form of [AF].
 
@@ -238,6 +240,7 @@ def _af_adams(p: int, n: int) -> np.ndarray:
     out = np.empty((p + 1, p), np.int64)
     out[:, :-1] = sums[:, :-2] - sums[:, 2:]
     out[:, -1] = (np.arange(p + 1) - out[:, :-1] @ np.arange(1, p)) // p
+    out.flags.writeable = False
     return out
 
 
@@ -247,15 +250,15 @@ def _against_closed_form(ctx: RingContext, label: str, names: dict[int, str]) ->
     Case (n, s) passes iff the table's psi^fold(n)(V_s), restricted to the
     subgroup of order p, equals the closed form at the raw n applied to the
     restriction of V_s; a failure reads "<names[n]>, s=<s>".  Every raw n
-    gets its own closed form, so neither residue of a fold class stands in
-    for the other.
+    gets the closed form at its residue mod 2p, the last one kept, so
+    neither residue of a fold class stands in for the other.
     """
     basis = _restricted(ctx, np.identity(ctx.order, np.int8)) if ctx.nu > 1 else None
 
     def failures(group, table, rows):
         got, bad = _restricted(ctx, rows[:, 1:]), {}
         for n in group:
-            want = _af_adams(ctx.p, n)[1:]
+            want = _af_adams(ctx.p, n % (2 * ctx.p))[1:]
             if basis is not None:
                 want = basis @ want
             wrong = np.flatnonzero((got != want).any(axis=1)) + 1

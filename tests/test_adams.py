@@ -261,21 +261,20 @@ def test_cold_table_faults_its_working_set_in_once():
 
 @pytest.mark.parametrize("chunk", [1, 5, 7, adams_module._CHUNK_TERMS])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_readout_and_text_keep_wide_multiplicities(chunk, fmt, monkeypatch):
-    # Adams values have multiplicities +-1 only, so the table never meets
-    # another; the read-out and the text must still keep any int32
-    # multiplicity, and an empty row.  The rows hold 4, 0, 2 and 1 terms: a
-    # chunk of 1 term ends after every row with terms, one of 5 after the
-    # third row, one of 7 or the default after the last
+def test_table_readout_and_text_of_unit_rows(chunk, fmt, monkeypatch):
+    # the read-out and the text of rows of multiplicities +-1 with an empty
+    # row among them.  The rows hold 4, 0, 2 and 1 terms: a chunk of 1 term
+    # ends after every row with terms, one of 5 after the third row, one of
+    # 7 or the default after the last
     monkeypatch.setattr(adams_module, "_CHUNK_TERMS", chunk)
     ctx = RingContext(5, 2)
-    block = np.array([[[0, 1, -1, 0, 2, 0, -3], [0, 0, 0, 0, 0, 0, 0]],
-                      [[0, 0, 7, 0, 0, 0, 1], [0, -1, 0, 0, 0, 0, 0]]], np.int32)
+    block = np.array([[[0, 1, -1, 0, 1, 0, -1], [0, 0, 0, 0, 0, 0, 0]],
+                      [[0, 0, 1, 0, 0, 0, -1], [0, -1, 0, 0, 0, 0, 0]]], np.int32)
     counts, cols, coefs = _nonzeros(block)
     rows = _Rows(np.concatenate([[0], np.cumsum(counts)]), cols, coefs)
     got = _values(ctx, _keyed(ctx, rows), 1, 5)
     assert [v.terms for v in got] == [
-        ((1, 1), (2, -1), (4, 2), (6, -3)), (), ((2, 7), (6, 1)), ((1, -1),)]
+        ((1, 1), (2, -1), (4, 1), (6, -1)), (), ((2, 1), (6, -1)), ((1, -1),)]
     assert got[0].terms[0] is _unit_terms(ctx.order)[2]
     assert [_values(ctx, _keyed(ctx, rows), s, s + 1)[0] for s in range(1, 5)] == got
     # the rows' text, as format_element and to_dict write the same elements
@@ -288,6 +287,17 @@ def test_table_readout_and_text_keep_wide_multiplicities(chunk, fmt, monkeypatch
             json.dumps({"s": s, "dim": s, "element": to_dict(v)}, separators=(",", ":"))
             for s, v in enumerate(got, 1)) + "]}\n"
     assert text == want
+
+
+@pytest.mark.parametrize("wide", [2, -2])
+def test_keyed_rejects_a_wide_multiplicity(wide):
+    # the shape law puts every Adams multiplicity in {-1, 0, 1}, so a table
+    # row holding another is a kernel fault: it reaches neither the memo
+    # nor the `table` text
+    ctx = RingContext(5, 2)
+    rows = _Rows(np.array([0, 2, 3]), np.array([1, 3, 2], np.int32), np.array([1, wide, -1], np.int32))
+    with pytest.raises(AssertionError, match="internal consistency failure"):
+        _keyed(ctx, rows)
 
 
 @pytest.mark.parametrize("p, nu", [(7, 2), (3, 3)])

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -404,6 +405,33 @@ class TestVerifyCommand:
             " first: n=2, s=7, clause=parity",
             "RESULT: FAIL",
         ]
+
+    def test_wide_multiplicity_is_named_by_shape_and_stops_table(self, monkeypatch, capsys):
+        # a kernel that doubles the leading term of V_5 at f = 2: the walk
+        # reads the kernel's rows itself, so the shape sweep names the
+        # coefficient clause, while `table` takes them through adams._keyed
+        # and ends as an internal error without printing a row
+        real_table = suites._table
+
+        def table(c, f):
+            rows = real_table(c, f)
+            if f == 2:
+                rows.coefs[rows.starts[5] - 1] *= 2
+            return rows
+
+        monkeypatch.setattr(suites, "_table", table)
+        monkeypatch.setattr(importlib.import_module("greenring.adams"), "_table", table)
+        clear_cache(RingContext(3, 2))
+        assert main(["verify", "--p", "3", "--nu", "2", "--suite", "shape"]) == 1
+        assert capsys.readouterr().out == (
+            "[shape] alternating shape: 51/54 (n,s) pairs pass;"
+            " first: n=2, s=5, clause=coefficients\n"
+            "RESULT: FAIL\n"
+        )
+        assert main(["table", "--p", "3", "--nu", "2", "--n", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: internal consistency failure")
 
     @pytest.mark.parametrize(
         "p, nu, digest",

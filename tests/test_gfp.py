@@ -155,6 +155,38 @@ class TestColumnBasis:
         for m in calls:
             assert gfp.pivot_rows(m, 7) == reference_column_basis(m, 7)[1]
 
+    @pytest.mark.parametrize("p, nu", [(3, 2), (2, 5)])
+    def test_jordan_blocks_take_the_lead_exit(self, p, nu, monkeypatch):
+        # the nonzero rows of a Jordan block's N and of its Krylov stack have
+        # pairwise distinct leading columns, so the round trip never runs the
+        # row loop
+        def row_loop(a, p):
+            raise AssertionError("pivot_rows ran its row loop")
+
+        monkeypatch.setattr(gfp, "_eliminate", row_loop)
+        ctx = RingContext(p, nu)
+        for r in range(1, ctx.order + 1):
+            assert oracle.decompose(ctx, oracle.realize(ctx, r)).multiplicities == ((r, 1),)
+
+    def test_shared_leads_run_the_row_loop(self, monkeypatch):
+        # no more rows than columns, but two nonzero rows share a leading
+        # column: dependent, independent, after a zero row, and both mixed
+        cases = [np.array([[0, 1, 2, 0], [0, 2, 4, 0]]),
+                 np.array([[1, 0, 0, 4], [1, 1, 0, 0]]),
+                 np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 0, 4]]),
+                 np.array([[0, 1, 2, 0, 3], [1, 0, 0, 4, 0], [0, 2, 4, 0, 1], [1, 1, 0, 0, 0]])]
+        calls = []
+        eliminate = gfp._eliminate
+
+        def row_loop(a, p):
+            calls.append(len(a))
+            return eliminate(a, p)
+
+        monkeypatch.setattr(gfp, "_eliminate", row_loop)
+        for case in cases:
+            assert gfp.pivot_rows(case, 5) == reference_column_basis(case, 5)[1]
+        assert calls == [len(case) for case in cases]
+
     @pytest.mark.parametrize("p", (2, 7, 1021))
     def test_pivot_rows_any_memory_order(self, p):
         # the rows found must not depend on the memory order of the input:
