@@ -25,42 +25,42 @@ There are two routes, one per job:
   holds no exponent >= p.
 - the table kernel _table runs the level identity for every value of one
   fold class at once.  Its one output is the table's rows in compressed
-  sparse row form (_Rows: starts, cols, coefs), and it has three readers.
-  The `table` command writes its text from the rows a chunk at a time and
-  leaves them in the memo, where adams_basis (and adams_table) builds a
-  missing value of that class from its row (_values) instead of recursing;
-  both take the rows through _keyed, which raises on a multiplicity other
-  than +-1.  The suites' one walk calls _table itself, once per fold class
-  for all five exponent sweeps, and builds no element: the shape sweep
-  checks the rows (_shape_clauses, which shape_check runs on one row), so
-  it reports a kernel that breaks the law clause by clause, the other four
-  read a dense view scattered from them, and the walk leaves the
-  memo as it found it.  A level is a pair of dense int32 arrays per block
-  of r, and each step k is two slice additions, one per spread; the values
-  on V_r and V_{q-r} are scattered into the block from the lower levels'
-  rows, and the nonzero entries of each read-out become the next level's
-  rows, put in order of s once per level.  Every block works in views of
-  one working set (the two accumulator planes, a read-out buffer and the
-  two scattered inputs) that the table allocates once, sized for its
-  largest block: an array of 128 KiB or more is mapped afresh on each
-  allocation, so arrays made per block would fault their pages in again on
-  every block (about 3,300 minor faults for a cold (2,10) table, against
-  about 200).  A spread never writes one index twice, so a slice addition
-  is exact.  A value at level m + 1 is a sum of at most p spreads of
-  values at levels <= m, each adding at most one term to an index, so by
-  induction every multiplicity of a value on V_s, and of each partial sum
-  the arrays hold, is at most p^level(s) <= q in magnitude: int32 is exact
-  far beyond the order cap.
+  sparse row form (_Rows: starts, cols, coefs).  The `table` command and
+  adams_table take them through _table_rows, which keeps the class in the
+  memo in one form, each term a key into the shared unit pairs (_keyed,
+  which raises on a multiplicity other than +-1), and drops the rows:
+  adams_basis builds a missing value of that class from its row of keys
+  (_value) instead of recursing, and the `table` text looks its pieces up
+  by the same keys.  The suites' one walk calls _table itself, once per
+  fold class for all five exponent sweeps, and builds no element: the
+  shape sweep checks the rows (_shape_clauses, which shape_check runs on
+  one row), so it reports a kernel that breaks the law clause by clause,
+  the other four read a dense view scattered from them, and the walk
+  leaves the memo as it found it.  A level is a pair of dense int32 arrays
+  per block of r, and each step k is two slice additions, one per spread;
+  the values on V_r and V_{q-r} are scattered into the block from the
+  lower levels' rows, and the nonzero entries of each read-out become the
+  next level's rows, put in order of s once per level.  Every block works
+  in views of one working set (the two accumulator planes, a read-out
+  buffer and the two scattered inputs) that the table allocates once,
+  sized for its largest block: an array of 128 KiB or more is mapped
+  afresh on each allocation, so arrays made per block would fault their
+  pages in again on every block (about 3,300 minor faults for a cold
+  (2,10) table, against about 200).  A spread never writes one index twice,
+  so a slice addition is exact.  A value at level m + 1 is a sum of at most
+  p spreads of values at levels <= m, each adding at most one term to an
+  index, so by induction every multiplicity of a value on V_s, and of each
+  partial sum the arrays hold, is at most p^level(s) <= q in magnitude:
+  int32 is exact far beyond the order cap.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     GreenElement,
@@ -98,28 +98,33 @@ class _Rows(NamedTuple):
 
 
 class _Keyed(NamedTuple):
-    """A table's rows as _values reads them (see _keyed)."""
+    """A tabled fold class as the memo keeps it: each term of its rows as a key into the shared unit pairs.
 
-    rows: _Rows
-    starts: list[int]  # rows.starts as Python ints
-    keys: np.ndarray  # int32, the place in units of each term's shared pair
+    The value on V_s has the terms units[k] for k in keys[starts[s - 1] :
+    starts[s]], ascending: a term c V_t has the key 2 t + (c < 0), its place
+    in core._unit_terms(q), so a read (_value) is one slice of keys and one
+    list lookup per term, and the `table` text looks its pieces up by the
+    same keys.
+    """
+
+    starts: list[int]  # the rows' starts as Python ints, q + 1 of them
+    keys: np.ndarray  # int32, one a term
     units: list  # core._unit_terms(q)
 
 
 def _keyed(ctx: RingContext, rows: _Rows) -> _Keyed:
-    """The rows of a table at ctx, with each term's place among the shared unit pairs.
+    """The rows of a table at ctx as the memo keeps them, 4 bytes a term; the rows themselves are not kept.
 
-    A term c V_t has its pair at 2 t + (c < 0) of core._unit_terms(q): with
-    the places and row starts worked out for the whole table at once, a
-    value's read is one slice of keys and one list lookup per term.  The
-    shape law allows no multiplicity but +-1, so another is a kernel fault.
+    The one place where a table's rows enter the memo and reach the `table`
+    text.  The shape law allows no multiplicity but +-1, so another is a
+    kernel fault.
     """
     coefs = rows.coefs
     if ((coefs > 1) | (coefs < -1)).any():
         raise AssertionError("internal consistency failure: an Adams table has a multiplicity other than +-1")
     keys = rows.cols * 2
     keys += coefs < 0
-    return _Keyed(rows, rows.starts.tolist(), keys, _unit_terms(ctx.order))
+    return _Keyed(rows.starts.tolist(), keys, _unit_terms(ctx.order))
 
 
 class _Memo(dict):
@@ -221,9 +226,9 @@ def _adams_basis(ctx: RingContext, n: int, s: int) -> GreenElement:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    rows = cache.tables.get(n)
-    if rows is not None:
-        value = _values(ctx, rows, s, s + 1)[0]
+    table = cache.tables.get(n)
+    if table is not None:
+        value = _value(ctx, table, s)
     elif s == 1:
         value = basis_element(ctx, 1)
     else:
@@ -274,28 +279,18 @@ def _folded(ctx: RingContext, n: int) -> int:
 # to the table itself, and a numpy call is never spent on one short row.
 _BLOCK_CELLS = 1 << 15
 
-# the readers of a table's rows (its elements, the `table` text) take runs of
-# rows of about this many terms at a time, so that what they build on the way
-# stays small next to the rows
-_CHUNK_TERMS = 1 << 12
-
 
 def adams_table(ctx: RingContext, n: int) -> list[GreenElement]:
     """The n-th Adams operation on V_1..V_q, in order, computed level by level.
 
     Requires p not dividing n; the exponent is folded as in adams_basis.
-    Every value is left in the memo, and a value already memoized is
-    returned as that same object, so adams_basis after a table is a cache
-    hit.  The other values are built from the table's rows (_table_rows)
-    unless all of them are memoized.
+    The table's rows are left in the memo (_table_rows) and every value is
+    read through it, so each is memoized, and a value already memoized is
+    returned as that same object.
     """
     n = _folded(ctx, n)
-    cache = _context_cache(ctx)
-    memo = [cache.get((n, s)) for s in range(1, ctx.order + 1)]
-    if all(v is not None for v in memo):
-        return memo
-    values = _values(ctx, _table_rows(ctx, n), 1, ctx.order + 1)
-    return [cache.setdefault((n, s), v) for s, v in enumerate(values, 1)]
+    _table_rows(ctx, n)
+    return [_adams_basis(ctx, n, s) for s in range(1, ctx.order + 1)]
 
 
 def _table_rows(ctx: RingContext, f: int) -> _Keyed:
@@ -307,28 +302,10 @@ def _table_rows(ctx: RingContext, f: int) -> _Keyed:
     return keyed
 
 
-def _values(ctx: RingContext, table: _Keyed, lo: int, hi: int) -> list[GreenElement]:
-    """The values on V_lo..V_{hi-1} as elements, built from a table's rows a chunk at a time.
-
-    The one maker of elements from the rows: the memo and adams_table read
-    their elements through it.
-    """
-    _, starts, keys, units = table
-    values = []
-    for a, b in _chunks(starts, lo, hi):
-        ends = starts[a - 1 : b]
-        x, y = ends[0], ends[-1]
-        terms = tuple(map(units.__getitem__, keys[x:y].tolist()))
-        values += [GreenElement._from_terms(ctx, terms[c - x : d - x]) for c, d in zip(ends, ends[1:])]
-    return values
-
-
-def _chunks(starts: Sequence[int], lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """The rows lo..hi-1 as runs a..b-1 in turn, each the fewest rows holding _CHUNK_TERMS terms, or the rest."""
-    while lo < hi:
-        b = bisect_left(starts, starts[lo - 1] + _CHUNK_TERMS, lo, hi) + 1
-        yield lo, min(b, hi)
-        lo = b
+def _value(ctx: RingContext, table: _Keyed, s: int) -> GreenElement:
+    """The value on V_s as an element, read from a table's row: the one maker of elements from the rows."""
+    starts, keys, units = table
+    return GreenElement._from_terms(ctx, tuple(map(units.__getitem__, keys[starts[s - 1] : starts[s]].tolist())))
 
 
 def _table(ctx: RingContext, f: int) -> _Rows:

@@ -23,11 +23,12 @@ import argparse
 import functools
 import json
 import sys
-from typing import Iterator
+from bisect import bisect_left
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adams import _chunks, _folded, _Rows, _table_rows, adams
+from .adams import _folded, _Keyed, _table_rows, adams
 from .core import (
     GreenElement,
     RingContext,
@@ -146,7 +147,7 @@ def _cmd_power(args: argparse.Namespace, kind: str) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     ctx = RingContext(args.p, args.nu)
-    chunks = _table_chunks(ctx, args.n, _table_rows(ctx, _folded(ctx, args.n)).rows, args.format)
+    chunks = _table_chunks(ctx, args.n, _table_rows(ctx, _folded(ctx, args.n)), args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -162,53 +163,68 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # each format's _pieces, for t = 0..(the largest q asked for so far)
 _PIECES: dict[str, np.ndarray] = {}
 
+# the text takes runs of rows of about this many terms at a time, so that
+# what it builds on the way stays small next to the rows
+_CHUNK_TERMS = 1 << 12
+
 
 def _pieces(fmt: str, q: int) -> np.ndarray:
-    """The text of each term c V_t with c = +-1 in a table row, at 4 t + 2 first + (c < 0), t = 0..q at least.
+    """The text of each term c V_t with c = +-1 in a table row, by its key 2 t + (c < 0), t = 0..q at least.
 
-    first marks the row's first term as printed: its highest index in CSV,
-    where a term reads " + Vt" or " - Vt" and a first one "Vt" or "-Vt", and
-    its lowest in JSON, where a term reads ',"t":1' or ',"t":-1' and a first
-    one the same without the comma.  One array per format serves every q,
-    extended when a larger q comes.
+    The first half holds a term that is not its row's first as printed, the
+    second half a first one: its highest index in CSV, where a term reads
+    " + Vt" or " - Vt" and a first one "Vt" or "-Vt", and its lowest in
+    JSON, where a term reads ',"t":1' or ',"t":-1' and a first one the same
+    without the comma.  One array per format serves every q, extended when
+    a larger q comes.
     """
     pieces = _PIECES.get(fmt)
     if pieces is None or len(pieces) <= 4 * q:
         if fmt == "csv":
-            texts = ((f" + V{t}", f" - V{t}", f"V{t}", f"-V{t}") for t in range(q + 1))
+            later, first = (" + V{}", " - V{}"), ("V{}", "-V{}")
         else:
-            texts = ((f',"{t}":1', f',"{t}":-1', f'"{t}":1', f'"{t}":-1') for t in range(q + 1))
-        pieces = _PIECES[fmt] = np.array([text for four in texts for text in four], object)
+            later, first = (',"{}":1', ',"{}":-1'), ('"{}":1', '"{}":-1')
+        texts = [form.format(t) for forms in (later, first) for t in range(q + 1) for form in forms]
+        pieces = _PIECES[fmt] = np.array(texts, object)
     return pieces
 
 
-def _table_chunks(ctx: RingContext, n: int, rows: _Rows, fmt: str) -> Iterator[str]:
-    """The table's text, made from its rows a chunk of about adams._CHUNK_TERMS terms at a time.
+def _chunks(starts: Sequence[int], lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The rows lo..hi-1 as runs a..b-1 in turn, each the fewest rows holding _CHUNK_TERMS terms, or the rest."""
+    while lo < hi:
+        b = bisect_left(starts, starts[lo - 1] + _CHUNK_TERMS, lo, hi) + 1
+        yield lo, min(b, hi)
+        lo = b
+
+
+def _table_chunks(ctx: RingContext, n: int, table: _Keyed, fmt: str) -> Iterator[str]:
+    """The table's text, made from the memo's form of its rows a chunk of about _CHUNK_TERMS terms at a time.
 
     Rows are the CSV lines of format_element (each row's terms read in
     descending order) or the compact json.dumps of {"p", "nu", "n",
     "rows": [...]} (ascending); a row without terms prints 0 or {}.  Each
-    term's text is looked up in _pieces for a whole chunk at once: rows come
-    through adams._keyed, so every multiplicity is +-1.  The dim field of
-    row s is s itself, since dim psi^n(x) = dim x: `verify --suite
-    dimension` checks that identity for every fold class and every s on the
-    same table kernel that `table` prints, tests/test_cli.py compares whole
-    tables with dim(v) taken from the per-value route, and the benchmark's
-    checks derive each row's dimension again from its expression.
+    term's text is gathered from _pieces by its key, in the second half for
+    a row's first term, for a whole chunk at once: the keys come from
+    adams._keyed, so every multiplicity is +-1.  The dim field of row s is
+    s itself, since dim psi^n(x) = dim x: `verify --suite dimension` checks
+    that identity for every fold class and every s on the same table kernel
+    that `table` prints, tests/test_cli.py compares whole tables with
+    dim(v) taken from the per-value route, and the benchmark's checks
+    derive each row's dimension again from its expression.
     """
     csv = fmt == "csv"
     pieces = _pieces(fmt, ctx.order)
+    half = len(pieces) // 2
     head = f'"element":{{"p":{ctx.p},"nu":{ctx.nu},"coeffs":{{'
     yield "s,dim,expression\n" if csv else f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":['
-    for lo, hi in _chunks(rows.starts, 1, len(rows.starts)):
-        starts = rows.starts[lo - 1 : hi]
+    for lo, hi in _chunks(table.starts, 1, len(table.starts)):
+        starts = np.array(table.starts[lo - 1 : hi])
         counts = np.diff(starts)
         at = np.arange(starts[0], starts[-1])
         first = at == np.repeat(starts[:-1], counts)
         # CSV prints each row backwards: place i of a row a..b-1 reads a + b - 1 - i
         src = np.repeat(starts[:-1] + starts[1:] - 1, counts) - at if csv else at
-        t, c = rows.cols[src], rows.coefs[src]
-        texts = pieces[4 * t + 2 * first + (c < 0)].tolist()
+        texts = pieces[table.keys[src] + half * first].tolist()
         ends = (starts - starts[0]).tolist()
         if csv:
             lines = [f"{s},{s},{''.join(texts[x:y]) or '0'}\n"

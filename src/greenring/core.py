@@ -522,22 +522,8 @@ def format_element(a: GreenElement) -> str:
     One pass: every term is written as "+ V5", "- 2V3", ..., and the leading
     "+ " or "- " becomes "" or "-" after the join.
     """
-    return _expression(map(_term_text, reversed(a.terms)))
-
-
-def _term_text(term: tuple[int, int]) -> str:
-    """One term as format_element writes it: "+ V5", "- V3", "+ 2V1" or "- 2V1"."""
-    r, c = term
-    if c == 1:
-        return f"+ V{r}"
-    if c == -1:
-        return f"- V{r}"
-    return f"+ {c}V{r}" if c > 0 else f"- {-c}V{r}"
-
-
-def _expression(pieces: Iterable[str]) -> str:
-    """The _term_text pieces of an element, highest index first, as one expression."""
-    text = " ".join(pieces)
+    text = " ".join([f"+ V{r}" if c == 1 else f"- V{r}" if c == -1 else f"+ {c}V{r}" if c > 0 else f"- {-c}V{r}"
+                     for r, c in reversed(a.terms)])
     if not text:
         return "0"
     return text[2:] if text[0] == "+" else "-" + text[2:]

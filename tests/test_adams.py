@@ -47,7 +47,7 @@ from greenring.adams import (
     _Rows,
     _shape_clauses,
     _table,
-    _values,
+    _value,
     signs_alternate,
 )
 from greenring.cli import _table_chunks, main
@@ -56,6 +56,7 @@ from greenring.suites import _af_adams, _restricted
 
 # the module, which the package's function of the same name hides
 adams_module = importlib.import_module("greenring.adams")
+cli_module = importlib.import_module("greenring.cli")
 
 CTX7 = RingContext(7, 2)
 CTX3 = RingContext(3, 2)
@@ -259,26 +260,27 @@ def test_cold_table_faults_its_working_set_in_once():
     assert int(proc.stdout) < 1000
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 7, adams_module._CHUNK_TERMS])
+@pytest.mark.parametrize("chunk", [1, 5, 7, cli_module._CHUNK_TERMS])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_readout_and_text_of_unit_rows(chunk, fmt, monkeypatch):
     # the read-out and the text of rows of multiplicities +-1 with an empty
     # row among them.  The rows hold 4, 0, 2 and 1 terms: a chunk of 1 term
     # ends after every row with terms, one of 5 after the third row, one of
     # 7 or the default after the last
-    monkeypatch.setattr(adams_module, "_CHUNK_TERMS", chunk)
+    monkeypatch.setattr(cli_module, "_CHUNK_TERMS", chunk)
     ctx = RingContext(5, 2)
     block = np.array([[[0, 1, -1, 0, 1, 0, -1], [0, 0, 0, 0, 0, 0, 0]],
                       [[0, 0, 1, 0, 0, 0, -1], [0, -1, 0, 0, 0, 0, 0]]], np.int32)
     counts, cols, coefs = _nonzeros(block)
-    rows = _Rows(np.concatenate([[0], np.cumsum(counts)]), cols, coefs)
-    got = _values(ctx, _keyed(ctx, rows), 1, 5)
+    table = _keyed(ctx, _Rows(np.concatenate([[0], np.cumsum(counts)]), cols, coefs))
+    got = [_value(ctx, table, s) for s in range(1, 5)]
     assert [v.terms for v in got] == [
         ((1, 1), (2, -1), (4, 1), (6, -1)), (), ((2, 1), (6, -1)), ((1, -1),)]
     assert got[0].terms[0] is _unit_terms(ctx.order)[2]
-    assert [_values(ctx, _keyed(ctx, rows), s, s + 1)[0] for s in range(1, 5)] == got
+    # a row reads the same whichever rows were read before it
+    assert [_value(ctx, table, s) for s in range(4, 0, -1)] == got[::-1]
     # the rows' text, as format_element and to_dict write the same elements
-    text = "".join(_table_chunks(ctx, 3, rows, fmt))
+    text = "".join(_table_chunks(ctx, 3, table, fmt))
     if fmt == "csv":
         want = "s,dim,expression\n" + "".join(
             f"{s},{s},{format_element(v)}\n" for s, v in enumerate(got, 1))
@@ -298,6 +300,20 @@ def test_keyed_rejects_a_wide_multiplicity(wide):
     rows = _Rows(np.array([0, 2, 3]), np.array([1, 3, 2], np.int32), np.array([1, wide, -1], np.int32))
     with pytest.raises(AssertionError, match="internal consistency failure"):
         _keyed(ctx, rows)
+
+
+def test_memo_keeps_a_tabled_class_in_four_bytes_a_term(capsys):
+    # after `table`, the memo holds the class as one int32 key per term and
+    # nothing else in arrays: not the kernel's cols, coefs or int64 starts
+    ctx = RingContext(31, 2)
+    clear_cache(ctx)
+    assert main(["table", "--p", "31", "--nu", "2", "--n", "3"]) == 0
+    capsys.readouterr()
+    entry = _context_cache(ctx).tables[3]
+    arrays = [x for field in entry for x in (field if isinstance(field, tuple) else (field,))
+              if isinstance(x, np.ndarray)]
+    assert entry.starts[-1] > 0
+    assert sum(x.nbytes for x in arrays) == 4 * entry.starts[-1]
 
 
 @pytest.mark.parametrize("p, nu", [(7, 2), (3, 3)])

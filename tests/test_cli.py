@@ -242,6 +242,19 @@ class TestTableCommand:
         assert target.read_text(encoding="utf-8") == shown
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_after_a_larger_table_prints_as_cold(self, capsys, fmt):
+        # the text pieces grown for q = 1024 serve the q = 49 table that
+        # follows, its rows' first terms read from the far half of the
+        # longer array; a fresh interpreter sizes them for q = 49
+        args = ["table", "--p", "7", "--nu", "2", "--n", "3", "--format", fmt]
+        assert main(["table", "--p", "2", "--nu", "10", "--n", "3", "--format", fmt]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        code, out, err = run_cli(args)
+        assert code == 0 and not err
+        assert capsys.readouterr().out == out
+
     def test_unwritable_out_exits_one(self):
         assert main(
             ["table", "--p", "3", "--nu", "1", "--n", "2", "--out", "/nonexistent/x.csv"]
