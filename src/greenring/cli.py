@@ -62,13 +62,15 @@ def _build_parser() -> argparse.ArgumentParser:
     """The CLI's one parser, built on the first call and reused after it.
 
     Parsing keeps no state in the parser, so one parser serves every call
-    of main in a process.
+    of main in a process.  Its `commands` attribute maps each command word
+    to that command's subparser.
     """
     parser = argparse.ArgumentParser(
         prog="greenring",
         description="Exact Adams operations and tensor powers in the Green ring of a cyclic p-group.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--p", type=int, required=True, help="prime p")
@@ -253,14 +255,32 @@ def main(argv: list[str] | None = None) -> int:
     """Run one CLI invocation and return its exit code (0, 1 or 2).
 
     The argparse tree is built once per process, on the first call, and
-    every later call reuses it; output goes to the current sys.stdout and
-    sys.stderr.
+    every later call reuses it.  A call parses its arguments once: when the
+    first names a command, with that command's parser alone, and otherwise
+    (a help flag, an unknown word, nothing) with the top-level parser.
+    Either way it accepts, rejects and prints what the top-level
+    parse_args does; leftover arguments are refused by the top-level
+    parser.  Output goes to the current sys.stdout and sys.stderr.
     """
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command and return its exit code."""
     try:
         if args.command == "psi":
             return _cmd_psi(args)

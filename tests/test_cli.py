@@ -28,7 +28,7 @@ from greenring import (
 )
 from greenring import suites
 from greenring.adams import ShapeClause
-from greenring.cli import _build_parser, main
+from greenring.cli import _build_parser, _dispatch, main
 
 WORKED_23 = (
     "V49 - V47 + V45 - V39 + V37 - V35 + V33 - V31 + V25"
@@ -46,6 +46,30 @@ def reference_table_text(ctx, n, fmt):
     rows = [json.dumps({"s": s, "dim": dim(v), "element": to_dict(v)}, separators=(",", ":"))
             for s, v in enumerate(values, 1)]
     return f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":[' + ",".join(rows) + "]}\n"
+
+
+def assert_same_text(got, want):
+    """Assert got == want.  On a failure report the lengths, the SHA-256
+    digests and the first differing offset with a short window of each
+    text, rather than a diff of two whole tables."""
+    if got == want:
+        return
+    digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (got, want)]
+    at = len(os.path.commonprefix([got, want]))
+    window = slice(max(at - 40, 0), at + 40)
+    pytest.fail(
+        f"texts differ: length {len(got)} vs {len(want)}, sha256 {digests[0]} vs {digests[1]};"
+        f" first difference at offset {at}: {got[window]!r} vs {want[window]!r}",
+        pytrace=False,
+    )
+
+
+def test_text_mismatch_report_is_short():
+    with pytest.raises(pytest.fail.Exception) as exc:
+        assert_same_text("s,dim\n" * 200_000 + "1", "s,dim\n" * 200_000 + "2")
+    report = str(exc.value)
+    assert len(report) < 600
+    assert "length 1200001 vs 1200001" in report and "offset 1200000" in report
 
 
 def run_cli(args, env=None):
@@ -253,7 +277,7 @@ class TestTableCommand:
         assert main(args) == 0
         code, out, err = run_cli(args)
         assert code == 0 and not err
-        assert capsys.readouterr().out == out
+        assert_same_text(capsys.readouterr().out, out)
 
     def test_unwritable_out_exits_one(self):
         assert main(
@@ -309,7 +333,7 @@ class TestTableCommand:
         assert main(["table", "--p", str(p), "--nu", str(nu), "--n", str(n), "--format", fmt]) == 0
         out = capsys.readouterr().out
         clear_cache(ctx)  # the reference runs the per-value recursion afresh
-        assert out == reference_table_text(ctx, n, fmt)
+        assert_same_text(out, reference_table_text(ctx, n, fmt))
 
 
 class TestVerifyCommand:
@@ -551,6 +575,74 @@ class TestParserReuse:
                 assert out and not err, argv
             else:
                 assert err and not out, argv
+
+
+def parse_args_then_dispatch(argv):
+    """One CLI call as main made it when every call ran the top-level
+    parse_args, the parser's own route for each accept, reject and usage."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    return _dispatch(args)
+
+
+TOP_USAGE = "usage: greenring [-h] {psi,mul,lambda,sym,table,verify} ...\n"
+PSI = ["psi", "--p", "7", "--nu", "2", "--n", "3"]
+COMMAND_CALLS = [
+    [*PSI, "--s", "5"],
+    ["mul", "--p", "7", "--nu", "2", "--a", "V5-V3", "--b", "2V4", "--format", "json"],
+    ["lambda", "--p", "7", "--nu", "2", "--n", "3", "--s", "10"],
+    ["sym", "--p", "7", "--nu", "2", "--n", "3", "--element", "V10+V2"],
+    ["table", "--p", "3", "--nu", "2", "--n", "2", "--format", "json"],
+    ["verify", "--p", "3", "--nu", "2", "--suite", "shape"],
+]
+
+
+class TestDispatch:
+    # main hands argv straight to its command's subparser; every call must
+    # print the bytes and return the exit code of the top-level parse_args
+    @pytest.mark.parametrize("argv", [
+        *COMMAND_CALLS,
+        [*PSI, "--s", "5", "--bogus"],
+        [*PSI, "--s", "5", "extra"],
+        PSI,
+        [*PSI, "--s", "5", "--element", "V3"],
+        [*PSI, "--s", "5", "--format", "xml"],
+        ["psi", "-h"],
+        ["--help"],
+        ["--he"],
+        ["nope", "--p", "7"],
+        [],
+        [*PSI, "--s", "5", "--form", "json"],
+        [*PSI, "--s=5", "--"],
+    ], ids=[
+        "psi", "mul", "lambda", "sym", "table", "verify", "bogus-option", "extra-positional",
+        "no-input", "both-inputs", "format-xml", "psi-help", "help", "help-abbrev",
+        "unknown-command", "empty", "format-abbrev", "double-dash",
+    ])
+    def test_matches_top_level_parse(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = parse_args_then_dispatch(list(argv)), *capsys.readouterr()
+        got = main(list(argv)), *capsys.readouterr()
+        assert got == want
+        if argv[-1:] in (["--bogus"], ["extra"], ["--"]):
+            # leftovers are refused by the top-level parser, under its usage
+            assert got[0] == 2 and not got[1]
+            assert got[2].startswith(TOP_USAGE)
+            assert got[2].endswith(f"greenring: error: unrecognized arguments: {argv[-1]}\n")
+
+    def test_command_call_skips_the_top_level_parse(self, capsys, monkeypatch):
+        parser = _build_parser()
+        calls = []
+        top = parser.parse_known_args
+        monkeypatch.setattr(parser, "parse_known_args", lambda *a: calls.append(a) or top(*a))
+        for argv in COMMAND_CALLS:
+            assert main(list(argv)) == 0, argv
+        assert calls == []
+        assert main(["--help"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
 
 
 class TestDeterminism:

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -137,6 +140,64 @@ class TestOracleAgreement:
             recovered = adams_from_exterior_sequence(CTX5, lams)
             for i, value in enumerate(recovered, start=1):
                 assert value == adams_basis(CTX5, i, r), (r, i)
+
+
+def gaussian_binomial(m, k, p):
+    """[m choose k]_q in Z[q]/(q^p - 1), the coefficients of q^0..q^(p-1), by
+    q-Pascal: [i choose j] = [i-1 choose j-1] + q^j [i-1 choose j]."""
+    rows = [[1] + [0] * (p - 1)] + [[0] * p for _ in range(k)]
+    for i in range(1, m + 1):
+        for j in range(min(i, k), 0, -1):
+            below, same, shift = rows[j - 1], rows[j], j % p
+            rows[j] = [below[t] + same[t - shift] for t in range(p)]
+    return rows[k]
+
+
+def af_power(ctx, n, r, exterior):
+    """Lambda^n(V_r) or S^n(V_r) at nu = 1 by the closed form of Almkvist and
+    Fossum: the fold mod z^(2p) - 1 of (z - 1/z) z^(-shift) [m choose n]_(z^2)
+    carries the multiplicity of V_s, 0 < s < p, at z^s; that of V_p comes from
+    the dimension C(m, n)."""
+    p = ctx.p
+    m, shift = (r, n * (r - n)) if exterior else (r + n - 1, n * (r - 1))
+    folded = [0] * (2 * p)
+    for k, c in enumerate(gaussian_binomial(m, n, p)):
+        folded[(2 * k + 1 - shift) % (2 * p)] += c
+        folded[(2 * k - 1 - shift) % (2 * p)] -= c
+    coeffs = folded[1:p]
+    top, rest = divmod(math.comb(m, n) - sum(s * c for s, c in enumerate(coeffs, 1)), p)
+    assert rest == 0
+    return GreenElement(ctx, [*coeffs, top])
+
+
+def newton_power(ctx, n, r, exterior):
+    power = exterior_power if exterior else symmetric_power
+    return power(ctx, n, basis_element(ctx, r))
+
+
+class TestAlmkvistFossum:
+    # at nu = 1 the powers of V_r have a closed form independent of the
+    # Newton recurrence, and it reaches past the oracle's dimension cap
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_power_of_every_module(self, p):
+        ctx = RingContext(p, 1)
+        for r in range(1, p + 1):
+            for n in range(1, p):
+                for exterior in (True, False):
+                    assert newton_power(ctx, n, r, exterior) == af_power(ctx, n, r, exterior), \
+                        (p, r, n, exterior)
+
+    def test_sample_at_31(self):
+        ctx = RingContext(31, 1)
+        cases = [(r, n, e) for r in range(1, 32) for n in range(1, 31) for e in (True, False)]
+        for r, n, exterior in random.Random(31).sample(cases, 60):
+            assert newton_power(ctx, n, r, exterior) == af_power(ctx, n, r, exterior), \
+                (r, n, exterior)
+
+    @pytest.mark.parametrize("n, r", [(3, 500), (5, 900)])
+    def test_exterior_at_the_order_cap(self, n, r):
+        ctx = RingContext(1021, 1)
+        assert newton_power(ctx, n, r, True) == af_power(ctx, n, r, True)
 
 
 class TestGowLaffey:
