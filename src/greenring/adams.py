@@ -27,9 +27,9 @@ There are two routes, one per job:
   fold class at once.  Its one output is the table's rows in compressed
   sparse row form (_Rows: starts, cols, coefs).  The `table` command and
   adams_table take them through _table_rows, which keeps the class in the
-  memo in one form, each term a key into the shared unit pairs (_keyed,
-  which raises on a multiplicity other than +-1), and drops the rows:
-  adams_basis builds a missing value of that class from its row of keys
+  memo in one form, each term c V_t the key 2 t + (c < 0) (_keyed, which
+  raises on a multiplicity other than +-1), and drops the rows: by the
+  unit pairs, adams_basis builds a missing value from its row of keys
   (_value) instead of recursing, and the `table` text looks its pieces up
   by the same keys.  The suites' one walk calls _table itself, once per
   fold class for all five exponent sweeps, and builds no element: the
@@ -98,22 +98,21 @@ class _Rows(NamedTuple):
 
 
 class _Keyed(NamedTuple):
-    """A tabled fold class as the memo keeps it: each term of its rows as a key into the shared unit pairs.
+    """A tabled fold class as the memo keeps it: each term of its rows as a key 2 t + (c < 0) for c V_t.
 
-    The value on V_s has the terms units[k] for k in keys[starts[s - 1] :
-    starts[s]], ascending: a term c V_t has the key 2 t + (c < 0), its place
-    in core._unit_terms(q), so a read (_value) is one slice of keys and one
-    list lookup per term, and the `table` text looks its pieces up by the
-    same keys.
+    The value on V_s has the terms with the keys keys[starts[s - 1] :
+    starts[s]], ascending.  A key indexes each reader's own table: the
+    shared unit pairs core._unit_terms(q) for _value, so a read is one slice
+    of keys and one list lookup per term, and the term texts of cli._pieces
+    for the `table` text.
     """
 
     starts: list[int]  # the rows' starts as Python ints, q + 1 of them
     keys: np.ndarray  # int32, one a term
-    units: list  # core._unit_terms(q)
 
 
-def _keyed(ctx: RingContext, rows: _Rows) -> _Keyed:
-    """The rows of a table at ctx as the memo keeps them, 4 bytes a term; the rows themselves are not kept.
+def _keyed(rows: _Rows) -> _Keyed:
+    """A table's rows as the memo keeps them, 4 bytes a term; the rows themselves are not kept.
 
     The one place where a table's rows enter the memo and reach the `table`
     text.  The shape law allows no multiplicity but +-1, so another is a
@@ -124,7 +123,7 @@ def _keyed(ctx: RingContext, rows: _Rows) -> _Keyed:
         raise AssertionError("internal consistency failure: an Adams table has a multiplicity other than +-1")
     keys = rows.cols * 2
     keys += coefs < 0
-    return _Keyed(rows.starts.tolist(), keys, _unit_terms(ctx.order))
+    return _Keyed(rows.starts.tolist(), keys)
 
 
 class _Memo(dict):
@@ -298,13 +297,16 @@ def _table_rows(ctx: RingContext, f: int) -> _Keyed:
     tables = _context_cache(ctx).tables
     keyed = tables.get(f)
     if keyed is None:
-        keyed = tables[f] = _keyed(ctx, _table(ctx, f))
+        keyed = tables[f] = _keyed(_table(ctx, f))
+        # the unit pairs _value reads keys by, built with the table rather than by its first read
+        _unit_terms(ctx.order)
     return keyed
 
 
 def _value(ctx: RingContext, table: _Keyed, s: int) -> GreenElement:
-    """The value on V_s as an element, read from a table's row: the one maker of elements from the rows."""
-    starts, keys, units = table
+    """The value on V_s as an element, read from a table's row by the shared unit pairs: the one maker of elements from the rows."""
+    starts, keys = table
+    units = _unit_terms(ctx.order)
     return GreenElement._from_terms(ctx, tuple(map(units.__getitem__, keys[starts[s - 1] : starts[s]].tolist())))
 
 

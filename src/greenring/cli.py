@@ -173,21 +173,15 @@ _CHUNK_TERMS = 1 << 12
 def _pieces(fmt: str, q: int) -> np.ndarray:
     """The text of each term c V_t with c = +-1 in a table row, by its key 2 t + (c < 0), t = 0..q at least.
 
-    The first half holds a term that is not its row's first as printed, the
-    second half a first one: its highest index in CSV, where a term reads
-    " + Vt" or " - Vt" and a first one "Vt" or "-Vt", and its lowest in
-    JSON, where a term reads ',"t":1' or ',"t":-1' and a first one the same
-    without the comma.  One array per format serves every q, extended when
-    a larger q comes.
+    A term reads " + Vt" or " - Vt" in CSV and ',"t":1' or ',"t":-1' in
+    JSON, as it does after another term of its row; _table_chunks fixes
+    each row's lead.  One array per format serves every q, extended when a
+    larger q comes.
     """
     pieces = _PIECES.get(fmt)
-    if pieces is None or len(pieces) <= 4 * q:
-        if fmt == "csv":
-            later, first = (" + V{}", " - V{}"), ("V{}", "-V{}")
-        else:
-            later, first = (',"{}":1', ',"{}":-1'), ('"{}":1', '"{}":-1')
-        texts = [form.format(t) for forms in (later, first) for t in range(q + 1) for form in forms]
-        pieces = _PIECES[fmt] = np.array(texts, object)
+    if pieces is None or len(pieces) <= 2 * q + 1:
+        forms = (" + V{}", " - V{}") if fmt == "csv" else (',"{}":1', ',"{}":-1')
+        pieces = _PIECES[fmt] = np.array([form.format(t) for t in range(q + 1) for form in forms], object)
     return pieces
 
 
@@ -204,36 +198,35 @@ def _table_chunks(ctx: RingContext, n: int, table: _Keyed, fmt: str) -> Iterator
 
     Rows are the CSV lines of format_element (each row's terms read in
     descending order) or the compact json.dumps of {"p", "nu", "n",
-    "rows": [...]} (ascending); a row without terms prints 0 or {}.  Each
-    term's text is gathered from _pieces by its key, in the second half for
-    a row's first term, for a whole chunk at once: the keys come from
-    adams._keyed, so every multiplicity is +-1.  The dim field of row s is
-    s itself, since dim psi^n(x) = dim x: `verify --suite dimension` checks
-    that identity for every fold class and every s on the same table kernel
-    that `table` prints, tests/test_cli.py compares whole tables with
-    dim(v) taken from the per-value route, and the benchmark's checks
-    derive each row's dimension again from its expression.
+    "rows": [...]} (ascending); a row without terms prints 0 or {}.  A
+    chunk's term texts are gathered from _pieces by their keys at once, in
+    reverse for CSV, and each row is a slice of them with its lead fixed as
+    format_element fixes its own: " + " is dropped and " - " becomes "-" in
+    CSV, the comma is dropped in JSON.  The keys come from adams._keyed, so
+    every multiplicity is +-1.  The dim field of row s is s itself, since
+    dim psi^n(x) = dim x: `verify --suite dimension` checks that identity
+    for every fold class and every s on the same table kernel that `table`
+    prints, tests/test_cli.py compares whole tables with dim(v) taken from
+    the per-value route, and the benchmark's checks derive each row's
+    dimension again from its expression.
     """
     csv = fmt == "csv"
     pieces = _pieces(fmt, ctx.order)
-    half = len(pieces) // 2
     head = f'"element":{{"p":{ctx.p},"nu":{ctx.nu},"coeffs":{{'
     yield "s,dim,expression\n" if csv else f'{{"p":{ctx.p},"nu":{ctx.nu},"n":{n},"rows":['
     for lo, hi in _chunks(table.starts, 1, len(table.starts)):
-        starts = np.array(table.starts[lo - 1 : hi])
-        counts = np.diff(starts)
-        at = np.arange(starts[0], starts[-1])
-        first = at == np.repeat(starts[:-1], counts)
-        # CSV prints each row backwards: place i of a row a..b-1 reads a + b - 1 - i
-        src = np.repeat(starts[:-1] + starts[1:] - 1, counts) - at if csv else at
-        texts = pieces[table.keys[src] + half * first].tolist()
-        ends = (starts - starts[0]).tolist()
+        bounds = table.starts[lo - 1 : hi]
+        first, last = bounds[0], bounds[-1]
+        texts = pieces[table.keys[first:last]].tolist()
         if csv:
-            lines = [f"{s},{s},{''.join(texts[x:y]) or '0'}\n"
-                     for s, x, y in zip(range(lo, hi), ends, ends[1:])]
+            # the row x..y-1 read backwards is texts[last - y : last - x]
+            texts.reverse()
+            rows = ["".join(texts[last - y : last - x]) for x, y in zip(bounds, bounds[1:])]
+            lines = [f"{s},{s},{(t[3:] if t[1] == '+' else '-' + t[3:]) if t else '0'}\n"
+                     for s, t in zip(range(lo, hi), rows)]
         else:
-            lines = [f'{"," if s > 1 else ""}{{"s":{s},"dim":{s},{head}{"".join(texts[x:y])}}}}}}}'
-                     for s, x, y in zip(range(lo, hi), ends, ends[1:])]
+            lines = [f'{"," if s > 1 else ""}{{"s":{s},"dim":{s},{head}{"".join(texts[x - first : y - first])[1:]}}}}}}}'
+                     for s, x, y in zip(range(lo, hi), bounds, bounds[1:])]
         yield "".join(lines)
     if not csv:
         yield "]}\n"

@@ -513,7 +513,7 @@ def from_dict(data: Mapping) -> GreenElement:
             raise ParseError(f"coefficient key of {len(key)} characters has too many digits") from exc
         r = ctx.check_index(r)
         terms[r] = _integer(c, f"coefficient of V{r}", ParseError)
-    return GreenElement.from_terms(ctx, terms)
+    return GreenElement._from_dict(ctx, terms)
 
 
 def format_element(a: GreenElement) -> str:
@@ -544,7 +544,7 @@ def parse_element(ctx: RingContext, text: str) -> GreenElement:
         raise ParseError(f"empty element literal {text!r}; the zero element is \"0\"")
     if s == "0":
         return zero(ctx)
-    terms: list[tuple[int, int]] = []
+    acc: dict[int, int] = {}
     pos = 0
     first = True
     while pos < len(s):
@@ -559,7 +559,8 @@ def parse_element(ctx: RingContext, text: str) -> GreenElement:
             raise ParseError(
                 f"integer in element literal at offset {pos} has too many digits"
             ) from exc
-        terms.append((ctx.check_index(r), sign * mag))
+        r = ctx.check_index(r)
+        acc[r] = acc.get(r, 0) + sign * mag
         pos = m.end()
         first = False
-    return GreenElement.from_terms(ctx, terms)
+    return GreenElement._from_dict(ctx, acc)

@@ -260,35 +260,50 @@ def test_cold_table_faults_its_working_set_in_once():
     assert int(proc.stdout) < 1000
 
 
+# two planted tables of rows of multiplicities +-1 at (5,2), each with the
+# terms of its rows.  The first holds 4, 0, 2 and 1 terms: a chunk of 1 term
+# ends after every row with terms, one of 5 after the third row, one of 7 or
+# the default after the last.  The second holds 0, 3, 1 and 0 terms, so the
+# first chunk starts on an empty row and the last ends on one: a chunk of 1
+# term holds rows 1-2, then row 3, then the empty row 4 alone, and the others
+# hold all four rows
+UNIT_BLOCKS = [
+    ([[[0, 1, -1, 0, 1, 0, -1], [0, 0, 0, 0, 0, 0, 0]],
+      [[0, 0, 1, 0, 0, 0, -1], [0, -1, 0, 0, 0, 0, 0]]],
+     [((1, 1), (2, -1), (4, 1), (6, -1)), (), ((2, 1), (6, -1)), ((1, -1),)]),
+    ([[[0, 0, 0, 0, 0, 0, 0], [0, -1, 0, 1, 0, 0, 1]],
+      [[0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0]]],
+     [(), ((1, -1), (3, 1), (6, 1)), ((5, 1),), ()]),
+]
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 7, cli_module._CHUNK_TERMS])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_readout_and_text_of_unit_rows(chunk, fmt, monkeypatch):
-    # the read-out and the text of rows of multiplicities +-1 with an empty
-    # row among them.  The rows hold 4, 0, 2 and 1 terms: a chunk of 1 term
-    # ends after every row with terms, one of 5 after the third row, one of
-    # 7 or the default after the last
+    # the read-out and the text of rows of multiplicities +-1, empty rows
+    # among them; the CSV leads of the rows with terms are -, -, - and then
+    # +, +, and the JSON leads +, +, - and then -, +
     monkeypatch.setattr(cli_module, "_CHUNK_TERMS", chunk)
     ctx = RingContext(5, 2)
-    block = np.array([[[0, 1, -1, 0, 1, 0, -1], [0, 0, 0, 0, 0, 0, 0]],
-                      [[0, 0, 1, 0, 0, 0, -1], [0, -1, 0, 0, 0, 0, 0]]], np.int32)
-    counts, cols, coefs = _nonzeros(block)
-    table = _keyed(ctx, _Rows(np.concatenate([[0], np.cumsum(counts)]), cols, coefs))
-    got = [_value(ctx, table, s) for s in range(1, 5)]
-    assert [v.terms for v in got] == [
-        ((1, 1), (2, -1), (4, 1), (6, -1)), (), ((2, 1), (6, -1)), ((1, -1),)]
-    assert got[0].terms[0] is _unit_terms(ctx.order)[2]
-    # a row reads the same whichever rows were read before it
-    assert [_value(ctx, table, s) for s in range(4, 0, -1)] == got[::-1]
-    # the rows' text, as format_element and to_dict write the same elements
-    text = "".join(_table_chunks(ctx, 3, table, fmt))
-    if fmt == "csv":
-        want = "s,dim,expression\n" + "".join(
-            f"{s},{s},{format_element(v)}\n" for s, v in enumerate(got, 1))
-    else:
-        want = '{"p":5,"nu":2,"n":3,"rows":[' + ",".join(
-            json.dumps({"s": s, "dim": s, "element": to_dict(v)}, separators=(",", ":"))
-            for s, v in enumerate(got, 1)) + "]}\n"
-    assert text == want
+    units = _unit_terms(ctx.order)
+    for block, terms in UNIT_BLOCKS:
+        counts, cols, coefs = _nonzeros(np.array(block, np.int32))
+        table = _keyed(_Rows(np.concatenate([[0], np.cumsum(counts)]), cols, coefs))
+        got = [_value(ctx, table, s) for s in range(1, 5)]
+        assert [v.terms for v in got] == terms
+        assert all(t is units[2 * t[0] + (t[1] < 0)] for v in got for t in v.terms)
+        # a row reads the same whichever rows were read before it
+        assert [_value(ctx, table, s) for s in range(4, 0, -1)] == got[::-1]
+        # the rows' text, as format_element and to_dict write the same elements
+        text = "".join(_table_chunks(ctx, 3, table, fmt))
+        if fmt == "csv":
+            want = "s,dim,expression\n" + "".join(
+                f"{s},{s},{format_element(v)}\n" for s, v in enumerate(got, 1))
+        else:
+            want = '{"p":5,"nu":2,"n":3,"rows":[' + ",".join(
+                json.dumps({"s": s, "dim": s, "element": to_dict(v)}, separators=(",", ":"))
+                for s, v in enumerate(got, 1)) + "]}\n"
+        assert text == want
 
 
 @pytest.mark.parametrize("wide", [2, -2])
@@ -296,10 +311,9 @@ def test_keyed_rejects_a_wide_multiplicity(wide):
     # the shape law puts every Adams multiplicity in {-1, 0, 1}, so a table
     # row holding another is a kernel fault: it reaches neither the memo
     # nor the `table` text
-    ctx = RingContext(5, 2)
     rows = _Rows(np.array([0, 2, 3]), np.array([1, 3, 2], np.int32), np.array([1, wide, -1], np.int32))
     with pytest.raises(AssertionError, match="internal consistency failure"):
-        _keyed(ctx, rows)
+        _keyed(rows)
 
 
 def test_memo_keeps_a_tabled_class_in_four_bytes_a_term(capsys):

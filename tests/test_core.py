@@ -466,6 +466,14 @@ class TestFormatting:
         e = -2 * basis_element(CTX, 6) + basis_element(CTX, 2)
         assert parse_element(CTX, format_element(e)) == e
 
+    def test_parse_sums_repeated_indices(self):
+        # a literal's terms of one index add up, and a sum of 0 drops out,
+        # with its +-1 terms shared like any other element's
+        e = parse_element(CTX, "V5 + V5 - V3 + 2V3 - V1 + V1 + 0V2")
+        assert e.terms == ((3, 1), (5, 2))
+        assert e.terms[0] is basis_element(CTX, 3).terms[0]
+        assert parse_element(CTX, "V4 - V4") == zero(CTX)
+
     @given(elements(CTX))
     def test_parse_inverts_format(self, e):
         assert parse_element(CTX, format_element(e)) == e
