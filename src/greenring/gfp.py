@@ -22,9 +22,9 @@ and updates only the rows in the pivot's column, from the pivot to the last
 nonzero of the pivot row.  Non-nilpotent input heads the stack with the
 nonzero columns of N^L, which span im N^L.  A layer is a product over N's
 nonzeros, so the sparse displacements of induced Jordan actions stay cheap
-throughout.  A tensor of two Jordan blocks needs no matrix of its own: its
-block sizes are the Smith valuations of one small matrix over a truncated
-polynomial ring (jordan_pair_rank_profile).
+throughout.  A tensor of Jordan blocks J_a, J_b needs no matrix of its own:
+its block sizes are the Smith valuations of an a x a matrix over F_p[Z],
+by long division by minimal-valuation pivots (jordan_pair_rank_profile).
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def mod_inverse(x: int, p: int) -> int:
-    return pow(int(x) % p, p - 2, p)
 
 
 def jordan_block(r: int) -> np.ndarray:
@@ -121,7 +117,7 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
         below = a[i + 1 :, j]
         rows = below.nonzero()[0]
         if len(rows):
-            inv = mod_inverse(row[j], p)
+            inv = pow(int(row[j]), -1, p)
             factor = (below[rows].astype(np.int64) * inv % p).astype(a.dtype)
             span = slice(j, support[-1] + 1)
             rows += i + 1
@@ -229,39 +225,26 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     return ranks.tolist()
 
 
-def _series_inverse(u: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a unit power series mod y^len(u), coefficients mod p."""
-    n = len(u)
-    inv = np.zeros(n, dtype=np.int64)
-    u0i = mod_inverse(int(u[0]), p)
-    inv[0] = u0i
-    for s in range(1, n):
-        acc = int(np.dot(u[1 : s + 1], inv[s - 1 :: -1])) % p
-        inv[s] = (-u0i * acc) % p
-    return inv
-
-
 def smith_chain_valuations(P: np.ndarray, p: int, b: int) -> list[int]:
     """Diagonal y-valuations of a square matrix over F_p[y]/(y^b).
 
-    P has shape (m, m, b), last axis holding polynomial coefficients; it is
-    destroyed.  Pivoting always selects a minimal-valuation entry, so every
-    division performed is exact.  Zero diagonal entries are reported with
-    valuation b.  jordan_pair_rank_profile is the one caller: its valuations
-    are the Jordan block sizes of a tensor of two Jordan blocks.
+    P: int64 of shape (m, m, b), coefficients 0..p-1 on the last axis; it is
+    destroyed.  A zero diagonal entry has valuation b.
 
-    The minimal valuation is non-decreasing along the elimination, so the
-    remaining submatrix is kept divided by y^base (base = sum of valuations
-    consumed so far): its polynomials live mod y^(b-base), which shrinks the
-    work per step.
+    Each step swaps an entry of minimal valuation e into the pivot and
+    clears its column below by long division: step s subtracts y^s times the
+    pivot row, scaled to clear degree e + s, so the division is exact and no
+    quotient is formed.  With factors reduced, each of the at most b steps
+    changes an entry by at most (p-1)^2 before its row is reduced: b*(p-1)^2
+    is about 2.1e9 at the order cap, inside int64.  Valuations never
+    decrease, so the rest is kept divided by y^base, base those found so far.
     """
     m = P.shape[0]
     vals = [b] * m
     base = 0
     for t in range(m):
         blen = b - base  # logical polynomial length of the shifted submatrix
-        sub = P[t:, t:, :blen]
-        nz = sub != 0
+        nz = P[t:, t:, :blen] != 0
         has = nz.any(axis=2)
         if not has.any():
             break
@@ -274,26 +257,17 @@ def smith_chain_valuations(P: np.ndarray, p: int, b: int) -> list[int]:
         if j0 != t:
             P[:, [t, j0], :] = P[:, [j0, t], :]
         vals[t] = base + e
-        ulen = blen - e
-        uinv = _series_inverse(P[t, t, e : e + ulen], p)
-        if t + 1 < m:
-            fe = P[t + 1 :, t, e : e + ulen]
-            # quotient rows: convolution with the inverse unit as one matmul
-            conv = np.zeros((ulen, ulen), dtype=np.int64)
-            for s in range(ulen):
-                conv[s, s:] = uinv[: ulen - s]
-            q = (fe @ conv) % p
-            rows_nz = np.flatnonzero(q.any(axis=1))
-            if rows_nz.size:
-                s_idx = np.flatnonzero(q[rows_nz].any(axis=0))
-                # gather the affected rows, update them, scatter them back
-                row = P[t, t:, :blen]
-                block = P[t + 1 + rows_nz, t:, :blen]
-                qg = q[rows_nz]
-                for s in s_idx:
-                    s = int(s)
-                    block[:, :, s:] -= qg[:, s][:, None, None] * row[None, :, : blen - s]
-                P[t + 1 + rows_nz, t:, :blen] = block % p
+        rows = t + 1 + np.flatnonzero(P[t + 1 :, t, :blen].any(axis=1))
+        if rows.size:
+            # gather the rows to clear, divide them by the pivot row, scatter back
+            inv = pow(int(P[t, t, e]), -1, p)
+            row = P[t, t:, :blen]
+            block = P[rows, t:, :blen]
+            for s in range(blen - e):
+                q = block[:, 0, e + s] % p * inv % p
+                if q.any():
+                    block[:, :, s:] -= q[:, None, None] * row[None, :, : blen - s]
+            P[rows, t:, :blen] = block % p
         P[t, t + 1 :, :] = 0
         if e and t + 1 < m:
             # divide the remaining submatrix by y^e; its valuations are >= e

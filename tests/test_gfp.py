@@ -1,4 +1,4 @@
-"""The GF(p) elimination kernel and rank profiles against pure-Python references.
+"""The GF(p) elimination kernel, rank profiles and Smith valuations against pure-Python references.
 
 The row rank profile is unique: the pivots are the rows that raise the rank
 of the rows above them.  So pivot_rows must return exactly the pivots of a
@@ -563,3 +563,105 @@ class TestResidueInput:
                 copied = small in calls
                 assert copied == (form is not forms[0]), form.dtype
                 monkeypatch.undo()
+
+
+def toeplitz_rank(P, p, k):
+    """Rank over GF(p) of P acting on (F_p[y]/(y^k))^m, as an mk x mk matrix.
+
+    Entry ((i, s), (j, r)) is the coefficient of y^(s-r) in P[i, j], zero for
+    s < r.
+    """
+    m = P.shape[0]
+    t = np.zeros((m * k, m * k), dtype=np.int64)
+    for s in range(k):
+        for r in range(s + 1):
+            t[s::k, r::k] = P[:, :, s - r]
+    return reference_rank(t, p)
+
+
+def random_polynomial_matrix(rng, m, b, p, density):
+    """m x m x b coefficients, each entry zero below a random degree."""
+    P = np.zeros((m, m, b), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            low = rng.randrange(b)
+            for s in range(low, b):
+                if rng.random() < density:
+                    P[i, j, s] = rng.randrange(1, p)
+    return P
+
+
+def polynomial_product(A, B, p):
+    """A B over F_p[y]/(y^b) for m x m x b coefficient arrays."""
+    b = A.shape[2]
+    C = np.zeros_like(A)
+    for r in range(b):
+        C[:, :, r:] += np.einsum("ik,kjs->ijs", A[:, :, r], B[:, :, : b - r])
+    return C % p
+
+
+def random_unimodular(rng, m, b, p):
+    """L U with L, U triangular, dense polynomial entries and unit constant diagonal."""
+    lower = random_polynomial_matrix(rng, m, b, p, 1.0)
+    upper = random_polynomial_matrix(rng, m, b, p, 1.0)
+    for i in range(m):
+        lower[i, i + 1 :] = upper[i + 1 :, i] = 0
+        lower[i, i, 0] = upper[i, i, 0] = 1
+    return polynomial_product(lower, upper, p)
+
+
+class TestSmithValuations:
+    # the valuations e_i of P over F_p[y]/(y^b) against the ranks of P on
+    # each truncation: sum_i min(e_i, k) = m*k - rank(T_k) for k = 1..b,
+    # which fixes how many e_i are at least k, so the multiset of e_i
+
+    @staticmethod
+    def check(P, p):
+        m, b = P.shape[0], P.shape[2]
+        expected = [m * k - toeplitz_rank(P, p, k) for k in range(1, b + 1)]
+        vals = gfp.smith_chain_valuations(P.copy(), p, b)
+        assert len(vals) == m and all(0 <= e <= b for e in vals), vals
+        assert [sum(min(e, k) for e in vals) for k in range(1, b + 1)] == expected, vals
+        return vals
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_random_matrices(self, p):
+        rng = random.Random(8600 + p)
+        for _ in range(30):
+            m, b = rng.randint(1, 5), rng.randint(1, 6)
+            self.check(random_polynomial_matrix(rng, m, b, p, rng.random()), p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_prescribed_valuations(self, p):
+        # U diag(y^e_i) V with U, V invertible has valuations e_i; the
+        # units' dense series make the high coefficients of the quotients
+        # matter, where an unreduced factor would overflow
+        rng = random.Random(8800 + p)
+        for _ in range(20):
+            m, b = rng.randint(1, 5), rng.randint(1, 6)
+            es = [rng.randint(0, b) for _ in range(m)]
+            D = np.zeros((m, m, b), dtype=np.int64)
+            for i, e in enumerate(es):
+                if e < b:
+                    D[i, i, e] = rng.randrange(1, p)
+            U, V = random_unimodular(rng, m, b, p), random_unimodular(rng, m, b, p)
+            P = polynomial_product(polynomial_product(U, D, p), V, p)
+            assert sorted(self.check(P, p)) == sorted(es)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_singular_and_constant(self, p):
+        rng = random.Random(8700 + p)
+        assert self.check(np.zeros((4, 4, 5), dtype=np.int64), p) == [5] * 4
+        # the last row a combination of the others over F_p[y]: one zero
+        # diagonal entry, valuation b
+        P = random_polynomial_matrix(rng, 4, 5, p, 0.8)
+        P[3] = 0
+        for i in range(3):
+            c = random_polynomial_matrix(rng, 1, 5, p, 1.0)[0, 0]
+            for j in range(4):
+                P[3, j] = (P[3, j] + np.convolve(c, P[i, j])[:5]) % p
+        assert 5 in self.check(P, p)
+        # b = 1: a matrix over F_p, whose valuations count its corank
+        for _ in range(5):
+            P = random_polynomial_matrix(rng, 5, 1, p, rng.random())
+            assert self.check(P, p).count(1) == 5 - reference_rank(P[:, :, 0], p)
