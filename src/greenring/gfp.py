@@ -13,18 +13,21 @@ non-nilpotent N are squared in int64.  Other values are reduced exactly
 where a zero test or an inverse needs them.
 
 The oracle decomposes a unipotent matrix from the rank profile of its
-displacement N, read off one Krylov elimination: unit vectors on the rows of
-N outside its row rank profile span a complement W of im N, and one
-elimination of the layers N^j W, deepest first, counts every rank(N^k).
-There is one elimination kernel, pivot_rows: both eliminations need only
-which rows are independent of the rows above them, so it builds no basis
-and updates only the rows in the pivot's column, from the pivot to the last
-nonzero of the pivot row.  Non-nilpotent input heads the stack with the
-nonzero columns of N^L, which span im N^L.  A layer is a product over N's
-nonzeros, so the sparse displacements of induced Jordan actions stay cheap
-throughout.  A tensor of Jordan blocks J_a, J_b needs no matrix of its own:
-its block sizes are the Smith valuations of an a x a matrix over F_p[Z],
-by long division by minimal-valuation pivots (jordan_pair_rank_profile).
+displacement N, read off one Krylov elimination of row vectors: the unit
+vectors W off lead_set(N) span, with the rows of N, all of F_p^d, and one
+elimination of the layers W N^j, deepest first, counts every rank(N^k).
+lead_set takes the leading columns of N's rows and eliminates only the rows
+that share one, so N itself is never eliminated whole.  There is one
+elimination kernel, _pivots, read as pivot_rows: it finds the rows
+independent of the rows above them and the leading column of each one's
+reduced row, builds no basis, and updates only the rows in the pivot's
+column, from the pivot to the last nonzero of the pivot row.  Non-nilpotent
+input heads the stack with the nonzero rows of N^L, which span the row
+space of N^L.  A layer is a product over N's nonzeros, so the sparse
+displacements of induced Jordan actions stay cheap throughout.  A tensor of
+Jordan blocks J_a, J_b needs no matrix of its own: its block sizes are the
+Smith valuations of an a x a matrix over F_p[Z], by long division by
+minimal-valuation pivots (jordan_pair_rank_profile).
 """
 
 from __future__ import annotations
@@ -44,11 +47,17 @@ def jordan_block(r: int) -> np.ndarray:
 def reduced(m, p: int, dtype) -> np.ndarray:
     """m mod p as a new C-ordered array of the given dtype.
 
-    The remainder is taken in a type that holds both m's entries and p, so no
+    An m whose entries all lie in 0..p-1 already, checked with one min and
+    one max, is cast: np.remainder costs about 4 ns an int64 entry, 1.1 ms
+    for the 528 x 528 tensor that decompose reads already reduced, against
+    0.25 ms for the check and the cast.  Otherwise
+    the remainder is taken in a type that holds both m's entries and p, so no
     int64 or uint64 extreme wraps and no narrow input overflows on p; it is
     cast to dtype a buffer at a time, with no full-size temporary.
     """
     m = np.asarray(m)
+    if m.min(initial=0) >= 0 and m.max(initial=0) < p:
+        return m.astype(dtype, order="C")
     wide = np.promote_types(m.dtype, np.min_scalar_type(p))
     out = np.empty(m.shape, dtype=dtype)
     return np.remainder(m, wide.type(p), out=out, casting="unsafe")
@@ -67,13 +76,14 @@ def elimination_dtype(rows: int, cols: int, p: int) -> np.dtype:
 def pivot_rows(m: np.ndarray, p: int) -> list[int]:
     """Row rank profile of m over GF(p): the rows independent of the rows above.
 
-    The module's one elimination kernel.  The number of pivots is the rank of
-    the rows, so a spanning set of a row space counts its dimension as a
-    basis would.  The pivots are found by forward elimination alone, on a
-    private C-ordered copy of m mod p: no basis, no column bookkeeping.  The
-    copy has the dtype elimination_dtype gives: int16 for every matrix of
-    d <= 909 at p = 7, so the Krylov stack, the largest working array of a
-    decomposition, takes 2 bytes an entry rather than 8.
+    The rows read-out of the module's one elimination kernel, _pivots.  The
+    number of pivots is the rank of the rows, so a spanning set of a row
+    space counts its dimension as a basis would.  The pivots are found by
+    forward elimination alone, on a private C-ordered copy of m mod p: no
+    basis, no column bookkeeping.  The copy has the dtype elimination_dtype
+    gives: int16 for every matrix of d <= 909 at p = 7, so the Krylov stack,
+    the largest working array of a decomposition, takes 2 bytes an entry
+    rather than 8.
     Row i is reduced mod p when it is reached, and its pivot is its first
     nonzero column; that column is cleared in the rows below i, so when row i
     is reached it is zero in every earlier pivot column, and it is zero as a
@@ -89,31 +99,45 @@ def pivot_rows(m: np.ndarray, p: int) -> list[int]:
     The multiplier is formed in int64, since a narrow array times a Python
     int keeps the narrow dtype, and cast back once reduced.  If m is no
     taller than wide and its nonzero rows have distinct leading columns (as
-    for a Jordan block's N and Krylov stack), they are independent pivots.
+    for a Jordan block's Krylov stack), they are independent pivots.
+    """
+    return _pivots(m, p)[0]
+
+
+def _pivots(m: np.ndarray, p: int) -> tuple[list[int], list[int]]:
+    """pivot_rows(m, p) and the leading column of each pivot's reduced row.
+
+    The reduced row of pivot i is row i minus the combination of the pivot
+    rows above that clears it in their leading columns, so the leads are
+    pairwise distinct and their number is the rank.  Rows that take the
+    distinct-lead exit are their own reduced rows.
     """
     d, n = np.shape(m)
     a = reduced(m, p, elimination_dtype(d, n, p))
     if 0 < d <= n:
         rows = np.flatnonzero(a.any(axis=1))
+        leads = (a != 0).argmax(axis=1)[rows]
         # not np.unique, whose first call imports numpy.ma (about 13 ms, 1 MB)
-        if np.bincount((a != 0).argmax(axis=1)[rows]).max(initial=0) <= 1:
-            return rows.tolist()
+        if np.bincount(leads).max(initial=0) <= 1:
+            return rows.tolist(), leads.tolist()
     return _eliminate(a, p)
 
 
-def _eliminate(a: np.ndarray, p: int) -> list[int]:
-    """pivot_rows by its row loop, on its working copy a, which it overwrites."""
+def _eliminate(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
+    """_pivots by its row loop, on its working copy a, which it overwrites."""
     pivots: list[int] = []
+    leads: list[int] = []
     for i in range(len(a)):
         row = a[i]
         row %= p
         support = row.nonzero()[0]
         if not len(support):
             continue
+        j = support[0]
         pivots.append(i)
+        leads.append(int(j))
         if len(pivots) == a.shape[1]:
             break
-        j = support[0]
         below = a[i + 1 :, j]
         rows = below.nonzero()[0]
         if len(rows):
@@ -122,7 +146,42 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
             span = slice(j, support[-1] + 1)
             rows += i + 1
             a[rows, span] -= factor[:, None] * row[span]
-    return pivots
+    return pivots, leads
+
+
+def lead_set(n: np.ndarray, p: int) -> np.ndarray:
+    """Columns S such that the unit vectors off S and the rows of n span F_p^d.
+
+    n is d x d with entries 0..p-1; S is returned as a mask.  Among the
+    nonzero rows of n, the first row on each distinct leading column (by a
+    stable sort) owns that column; the other nonzero rows, the colliders,
+    are eliminated by _pivots, and S is the owners' leads together with the
+    leading columns of the colliders' reduced pivot rows.  Each column of S
+    is then the leading column of some vector of rowspace(n); one such
+    vector per column of S and the unit vectors on the columns outside S
+    have pairwise distinct leads, so they form a triangular basis of F_p^d.
+    Those vectors are independent, so S has at most rank(n) columns; it has
+    fewer only when a collider's pivot lead is an owned column.  It has
+    exactly rank(n) columns for Jordan blocks and for J_a x J_b with a <= b
+    (for a > b it leaves a free columns where b would do), and within a few
+    of rank(n) for the dense conjugates measured.  Only the rows that share
+    a leading column are eliminated: none for a Jordan block, a few for the
+    induced matrices the oracle decomposes, about all of them for a dense n.
+    """
+    led = np.zeros(len(n), dtype=bool)
+    rows = np.flatnonzero(n.any(axis=1))
+    if not len(rows):
+        return led
+    leads = (n != 0).argmax(axis=1)[rows]
+    order = np.argsort(leads, kind="stable")
+    first = np.diff(leads[order], prepend=-1) != 0
+    owned = np.zeros(len(rows), dtype=bool)
+    owned[order[first]] = True
+    led[leads[owned]] = True
+    colliders = rows[~owned]
+    if len(colliders):
+        led[_pivots(n[colliders], p)[1]] = True
+    return led
 
 
 # entries of the layer product's int64 buffer (2 MB)
@@ -138,37 +197,39 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     it, is read as it is, at the cost of one max; any other N is reduced
     into a new array of that dtype.
 
-    Read off one Krylov elimination.  The unit vectors W on the free rows,
-    those outside pivot_rows(N), span a complement of im N: a combination of
-    them has zero pivot entries, so it lies in im N only if it is zero.
-    Hence V = W + N V, and for nilpotent N unrolling gives
-    im N^k = span{N^j w : j >= k}.  The layers N^j W, zero rows dropped, are
+    Read off one Krylov elimination of row vectors times N.  The unit
+    vectors W off lead_set(N) and the row space V N of N span V = F_p^d.
+    For nilpotent N, unrolling V = W + V N gives
+    V N^k = span{w N^j : j >= k}.  The layers W N^j, zero rows dropped, are
     stacked deepest first and eliminated once by pivot_rows; a pivot is a
     row independent of the rows above it, so the pivots in the layers
-    j >= k count rank(N^k) exactly.
+    j >= k count rank(N^k) exactly.  W may hold more than d - rank(N)
+    vectors; that adds Krylov rows, not error.
 
-    Unrolled only L times, V = W + N V gives, for any N and every k <= L,
-    im N^k = im N^L + span{N^j w : k <= j < L}, so at most L layers are
-    built, L the least power of two at or above min(max_k, d).  If N^L W = 0,
-    every w lies in K = ker N^d, and im N^L = im N^(L+1) = ... is the part
-    U = im N^d on which N is invertible; U meets K only in 0, so it adds d
-    minus all pivots to each rank.  Otherwise N is not nilpotent of index
-    at most L, and the nonzero columns of N^L, from repeated squaring, go
-    ahead of the layers as rows: they span im N^L, so pivot_rows counts
-    rank(N^L) among them as it would among a basis.  The oracle passes
-    max_k = q, and unipotent input of order dividing q dies by depth q <= L,
-    so only input it rejects reaches the squaring.  When max_k exceeds L,
-    then L >= d and im N^k = im N^L for k >= L.
+    Unrolled only L times, V = W + V N gives, for any N and every k <= L,
+    V N^k = V N^L + span{w N^j : k <= j < L}, so at most L layers are
+    built, L the least power of two at or above min(max_k, d).  If W N^L = 0,
+    every w lies in K = {v : v N^d = 0}, and V N^L = V N^(L+1) = ... is the
+    part U = V N^d on which N is invertible; V = K + U, projected along U,
+    gives K = W + K N, so the layers span K, and U adds d minus all pivots
+    to each rank.  Otherwise N is not nilpotent of index at most L, and the
+    nonzero rows of N^L, from repeated squaring, go ahead of the layers:
+    they span V N^L, so pivot_rows counts rank(N^L) among them as it would
+    among a basis.  The oracle passes max_k = q, and unipotent input of
+    order dividing q dies by depth q <= L, so only input it rejects reaches
+    the squaring.  When max_k exceeds L, then L >= d and
+    V N^k = V N^L for k >= L.
 
-    The stack has a row per w and power of N leaving it nonzero: about d
-    rows for Jordan blocks and induced matrices, whose free rows sit near
-    Jordan heads, but up to #blocks x index for dense conjugates P J P^-1
-    with skewed block sizes.  A layer is the one before times N^T, gathered
-    over N's nonzeros and summed per row of N by np.add.reduceat, a chunk of
-    rows at a time so that the int64 temporary of a dense N stays small.
-    Like the squaring and the updates of pivot_rows, it sums at most d
-    products of factors reduced mod p, so every int64 entry stays within
-    d*(p-1)^2, far inside int64 for every prime and dimension admitted.
+    The stack has a row per w and power of N leaving it nonzero: d rows for
+    Jordan blocks, about 1.5 d for induced tensors and squares, but up to
+    #blocks x index for dense conjugates P J P^-1 with skewed block sizes.
+    A layer is the one before times N, gathered over N's nonzeros, read
+    column by column from the transposed view N.T with no copy, and summed
+    per column of N by np.add.reduceat, a chunk of rows at a time so that
+    the int64 temporary of a dense N stays small.  Like the squaring and the
+    updates of pivot_rows, it sums at most d products of factors reduced mod
+    p, so every int64 entry stays within d*(p-1)^2, far inside int64 for
+    every prime and dimension admitted.
     """
     shape = np.shape(n_mat)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -189,17 +250,17 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
         and n.max(initial=0) < p
     ):
         n = reduced(n_mat, p, small)
-    layer = np.delete(np.eye(d, dtype=small), pivot_rows(n, p), axis=0)
-    rows, cols = np.nonzero(n)
+    layer = np.eye(d, dtype=small)[~lead_set(n, p)]
+    cols, rows = np.nonzero(n.T)
     vals = n[rows, cols].astype(np.int64)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    heads = rows[starts]
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    heads = cols[starts]
     depth = 1 << (min(max_k, d) - 1).bit_length()
     # the product has a column per nonzero of N, so it is formed a chunk of
     # rows at a time in two buffers sized for the first layer, the tallest
-    chunk = max(1, min(len(layer), _PRODUCT_CELLS // max(1, len(cols))))
-    picked = np.empty((chunk, len(cols)), dtype=small)
-    terms = np.empty((chunk, len(cols)), dtype=np.int64)
+    chunk = max(1, min(len(layer), _PRODUCT_CELLS // max(1, len(rows))))
+    picked = np.empty((chunk, len(rows)), dtype=small)
+    terms = np.empty((chunk, len(rows)), dtype=np.int64)
     layers = []
     while layer.shape[0] and len(layers) < depth:
         layers.append(layer)
@@ -207,7 +268,7 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
         for at in range(0, len(layer), chunk):
             part = layer[at : at + chunk]
             m = len(part)
-            np.take(part, cols, axis=1, out=picked[:m])
+            np.take(part, rows, axis=1, out=picked[:m])
             np.multiply(picked[:m], vals, out=terms[:m])
             nxt[at : at + m, heads] = np.add.reduceat(terms[:m], starts, axis=1) % p
         layer = nxt[nxt.any(axis=1)]
@@ -216,10 +277,10 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
         power, e = n.astype(np.int64), 1
         while e < depth:
             power, e = power @ power % p, 2 * e
-        head = power.T[power.any(axis=0)].astype(small)
+        head = power[power.any(axis=1)].astype(small)
     stack = [head, *layers[::-1]]
     pivots = pivot_rows(np.vstack(stack), p)
-    # found[k]: the pivots in im N^L and the layers j >= k, which come first
+    # found[k]: the pivots in V N^L and the layers j >= k, which come first
     found = np.searchsorted(pivots, np.cumsum([len(x) for x in stack]))[::-1]
     ranks = found[np.minimum(np.arange(max_k + 1), len(layers))] + d - len(pivots)
     return ranks.tolist()

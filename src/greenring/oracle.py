@@ -238,12 +238,13 @@ def decompose(ctx: RingContext, g: np.ndarray) -> DecompositionReport:
 
     g is reduced into min_scalar_type(p - 1), uint8 for p <= 251, so the
     caller's matrix is the only array of g's width: N is a byte an entry,
-    rank_profile reads it with no second copy, and its eliminations work
-    on int16 copies for every d up to 909 at p = 7.  Decomposing the 22x24
+    rank_profile reads it with no second copy, and its eliminations, of the
+    rows of N that share a leading column and of the Krylov stack, work on
+    int16 copies for every d up to 909 at p = 7.  Decomposing the 22x24
     tensor at (7,2) peaks at about 2.2 MiB of traced allocations besides g,
-    the 40x45 tensor (d = 1800) at about 26.6 MiB, against 2.5 and 29.7 MiB
-    with a second reduced copy of N and 6.9 and 66 MiB with int64 working
-    copies.
+    the 40x45 tensor (d = 1800) at about 25.8 MiB, against 2.2 and 26.6 MiB
+    with an elimination of all of N, 2.5 and 29.7 MiB with a second reduced
+    copy of N as well, and 6.9 and 66 MiB with int64 working copies.
     """
     n_mat = _module_matrix(g, ctx.p, np.min_scalar_type(ctx.p - 1))
     d = n_mat.shape[0]

@@ -6,6 +6,8 @@ pure-Python Gauss-Jordan elimination, whatever order it eliminates in.
 """
 
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -37,6 +39,33 @@ def reference_column_basis(m, p):
         pivots.append(i)
     e = np.array([list(row) for row in zip(*basis)], dtype=np.int64)
     return e.reshape(d, len(basis)), pivots
+
+
+def reference_pivot_leads(m, p):
+    """Row rank profile and pivot leads, each row reduced by the pivot rows above.
+
+    A row is cleared at its leading column while a pivot row above leads
+    there; what is left, if nonzero, is a new pivot on its leading column.
+    That column is the lead of the one vector of row + span(rows above)
+    that is zero in every earlier pivot lead.
+    """
+    basis: dict[int, list[int]] = {}
+    pivots: list[int] = []
+    leads: list[int] = []
+    for i, row in enumerate(np.asarray(m).tolist()):
+        row = [x % p for x in row]
+        j = next((j for j, x in enumerate(row) if x), None)
+        while j in basis:
+            f = row[j]
+            row = [(x - f * y) % p for x, y in zip(row, basis[j])]
+            j = next((j for j, x in enumerate(row) if x), None)
+        if j is None:
+            continue
+        inv = pow(row[j], -1, p)
+        basis[j] = [x * inv % p for x in row]
+        pivots.append(i)
+        leads.append(j)
+    return pivots, leads
 
 
 def reference_rank(m, p):
@@ -128,13 +157,27 @@ class TestColumnBasis:
             assert gfp.pivot_rows(small, p) == reference_column_basis(m, p)[1]
             assert np.array_equal(small, before)
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_pivot_leads_match_reference(self, p):
+        # the kernel's second read-out: the leading column of each pivot's
+        # reduced row, from the row loop and from the distinct-lead exit
+        rng = random.Random(7050 + p)
+        for d, n, density in SHAPES:
+            for _ in range(3):
+                m = random_matrix(rng, d, n, p, density)
+                assert gfp._pivots(m, p) == reference_pivot_leads(m, p)
+        for m in (gfp.jordan_block(9) - np.eye(9, dtype=np.int64),
+                  np.eye(5, 8, 2, dtype=np.int64)):
+            assert gfp._pivots(m, p) == reference_pivot_leads(m, p)
+
     @pytest.mark.parametrize("build, size", [("tensor", (10, 12)), ("tensor", (11, 13)),
                                              ("wedge", 16), ("sym", 14)])
     def test_induced_displacements(self, build, size, monkeypatch):
-        # both eliminations of rank_profile, on N and on the Krylov stack, for
-        # the displacement of a tensor, a wedge square and a sym square at
-        # (7,2), d = 105..143: the pivot column of N is never the first
-        # column not yet pivoted, and that of the Krylov stack often is not
+        # every matrix rank_profile hands the kernel, for the displacement
+        # of a tensor, a wedge square and a sym square at (7,2),
+        # d = 105..143: the Krylov stack, whose pivot column is often not
+        # the first column not yet pivoted, and the colliders of N, the rows
+        # that share a leading column with a row above, when there are any
         ctx = RingContext(7, 2)
         if build == "tensor":
             g = oracle.tensor(ctx, *(oracle.realize(ctx, r) for r in size))
@@ -142,18 +185,20 @@ class TestColumnBasis:
             g = getattr(oracle, build)(ctx, 2, oracle.realize(ctx, size))
         n = (g - np.eye(g.shape[0], dtype=np.int64)) % 7
         calls = []
-        pivot_rows = gfp.pivot_rows
+        pivots = gfp._pivots
 
         def record(m, p):
             calls.append(m.copy())
-            return pivot_rows(m, p)
+            return pivots(m, p)
 
-        monkeypatch.setattr(gfp, "pivot_rows", record)
+        monkeypatch.setattr(gfp, "_pivots", record)
         gfp.rank_profile(n, 7, ctx.order)
         monkeypatch.undo()
         assert len(calls) == 2
         for m in calls:
-            assert gfp.pivot_rows(m, 7) == reference_column_basis(m, 7)[1]
+            rows, leads = gfp._pivots(m, 7)
+            assert rows == reference_column_basis(m, 7)[1]
+            assert (rows, leads) == reference_pivot_leads(m, 7)
 
     @pytest.mark.parametrize("p, nu", [(3, 2), (2, 5)])
     def test_jordan_blocks_take_the_lead_exit(self, p, nu, monkeypatch):
@@ -500,6 +545,109 @@ class TestRankProfile:
             assert gfp.rank_profile(m, p, d + 1) == power_ranks(m, p, d + 1)
 
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_lead_set_spans(self, p):
+        # the unit vectors off the lead set and the rows of N span F_p^d,
+        # and the set has at most rank N columns: on empty and zero input,
+        # zero rows, every row on one lead, sparse and dense matrices
+        rng = random.Random(8700 + p)
+        cases = [np.zeros((0, 0), dtype=np.int64), np.zeros((5, 5), dtype=np.int64)]
+        for _ in range(4):
+            d = rng.randint(1, 16)
+            holes = random_matrix(rng, d, d, p, 0.5)
+            holes[rng.randrange(d) :: 3] = 0
+            one_lead = random_matrix(rng, d, d, p, 0.6)
+            j = rng.randrange(d)
+            one_lead[:, :j] = 0
+            one_lead[:, j] = [rng.randrange(1, p) for _ in range(d)]
+            cases += [holes, one_lead, random_matrix(rng, d, d, p, 0.1),
+                      random_matrix(rng, d, d, p, 1.0),
+                      conjugated_jordan(rng, [rng.randint(1, 5) for _ in range(3)], p)]
+        for n in cases:
+            d = len(n)
+            led = gfp.lead_set(n.astype(np.min_scalar_type(p - 1)), p)
+            assert led.shape == (d,) and led.dtype == bool
+            assert reference_rank(np.vstack([np.eye(d, dtype=np.int64)[~led], n]), p) == d
+            assert led.sum() <= reference_rank(n, p)
+
+    @staticmethod
+    def stacks(monkeypatch):
+        # the matrices handed to pivot_rows: rank_profile's Krylov stack
+        calls = []
+        real = gfp.pivot_rows
+
+        def record(m, p):
+            calls.append(m.copy())
+            return real(m, p)
+
+        monkeypatch.setattr(gfp, "pivot_rows", record)
+        return calls
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (10, 12), (11, 17), (22, 24)])
+    def test_tensor_stack(self, a, b, monkeypatch):
+        # the complement is exact for J_a x J_b at (7,2) with a <= b, as the
+        # oracle builds them: min(a, b) unit vectors, one per block; the
+        # stack is their layers w N^j, deepest first
+        ctx = RingContext(7, 2)
+        g = oracle.tensor(ctx, oracle.realize(ctx, a), oracle.realize(ctx, b))
+        n = (g - np.eye(a * b, dtype=np.int64)) % 7
+        calls = self.stacks(monkeypatch)
+        profile = gfp.rank_profile(n, 7, ctx.order)
+        assert profile == list(oracle.pair_product(ctx, a, b).rank_profile)
+        layer = np.eye(a * b, dtype=np.int64)[~gfp.lead_set(n, 7)]
+        assert len(layer) == min(a, b)
+        layers = []
+        while len(layer):
+            layers.append(layer)
+            layer = layer @ n % 7
+            layer = layer[layer.any(axis=1)]
+        (stack,) = calls
+        assert np.array_equal(stack, np.vstack(layers[::-1]))
+
+    def test_dense_stack_height(self, monkeypatch):
+        # a dense conjugate of 12 blocks of 12 at p = 7 (d = 144): the
+        # elimination of the colliders keeps the complement exact here, so
+        # the stack has 144 rows, as with pivot_rows on all of N; the
+        # owners' leads alone would leave 1,680
+        sizes = [12] * 12
+        n = conjugated_jordan(random.Random(8800), sizes, 7)
+        calls = self.stacks(monkeypatch)
+        assert gfp.rank_profile(n, 7, 13) == block_ranks(sizes, 13)
+        (stack,) = calls
+        assert len(stack) <= 2 * 144
+
+
+NO_NUMPY_MA = """
+import sys
+import numpy as np
+from greenring import RingContext, oracle
+
+ctx = RingContext(7, 2)
+dense = np.array({dense}, dtype=np.int64)
+mats = [
+    oracle.tensor(ctx, oracle.realize(ctx, 10), oracle.realize(ctx, 12)),
+    oracle.wedge(ctx, 2, oracle.realize(ctx, 16)),
+    (dense + np.eye(len(dense), dtype=np.int64)) % 7,
+]
+for g in mats:
+    oracle.decompose(ctx, g)
+assert "numpy.ma" not in sys.modules
+print("RESULT: PASS")
+"""
+
+
+class TestImportContract:
+    # no decomposition imports numpy.ma, as the first call of np.unique
+    # does (about 13 ms and 1 MB inside a timed op): a tensor, a wedge square
+    # and a dense conjugate, in a fresh interpreter
+    def test_decompose_leaves_numpy_ma_unloaded(self):
+        dense = conjugated_jordan(random.Random(8900), [6, 4, 4, 3, 1], 7)
+        script = NO_NUMPY_MA.format(dense=dense.tolist())
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().endswith("RESULT: PASS")
+
+
 class TestResidueInput:
     # rank_profile reads a C-ordered N of min_scalar_type(p - 1) with every
     # entry below p as it is, the N that decompose passes, and reduces any
@@ -527,7 +675,8 @@ class TestResidueInput:
         calls = self.reduce_calls(monkeypatch)
         assert gfp.rank_profile(n, p, 7) == block_ranks(sizes, 7)
         assert np.array_equal(n, before)
-        # only the two eliminations copy, each into a signed dtype
+        # only the eliminations copy, each into a signed dtype: that of the
+        # rows of N sharing a leading column, and that of the Krylov stack
         assert [dt.kind for dt in calls] == ["i", "i"]
 
     @pytest.mark.parametrize("p", (2, 7, 1021))
