@@ -8,9 +8,8 @@ held in min_scalar_type(p - 1) (uint8 for p <= 251), and the working copy of
 pivot_rows in the narrowest signed dtype holding min(rows, cols)*(p-1)^2 + p
 (elimination_dtype: int16 up to 909 columns at p = 7, int32 up to 2064
 columns at p = 1021, int64 only for large p*d).  rank_profile reads an N
-already held as such residues as it is, with no copy.  The powers of a
-non-nilpotent N are squared in int64.  Other values are reduced exactly
-where a zero test or an inverse needs them.
+already held as such residues as it is, with no copy.  Other values are
+reduced exactly where a zero test or an inverse needs them.
 
 The oracle decomposes a unipotent matrix from the rank profile of its
 displacement N, read off one Krylov elimination of row vectors: the unit
@@ -21,10 +20,9 @@ that share one, so N itself is never eliminated whole.  There is one
 elimination kernel, _pivots, read as pivot_rows: it finds the rows
 independent of the rows above them and the leading column of each one's
 reduced row, builds no basis, and updates only the rows in the pivot's
-column, from the pivot to the last nonzero of the pivot row.  Non-nilpotent
-input heads the stack with the nonzero rows of N^L, which span the row
-space of N^L.  A layer is a product over N's nonzeros, so the sparse
-displacements of induced Jordan actions stay cheap throughout.  A tensor of
+column, from the pivot to the last nonzero of the pivot row.  A layer is
+a product over N's nonzeros, so the sparse displacements of induced
+Jordan actions stay cheap throughout.  A tensor of
 Jordan blocks J_a, J_b needs no matrix of its own: its block sizes are the
 Smith valuations of an a x a matrix over F_p[Z], by long division by
 minimal-valuation pivots (jordan_pair_rank_profile).
@@ -189,13 +187,14 @@ _PRODUCT_CELLS = 1 << 18
 
 
 def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
-    """[rank(N^0), rank(N^1), ..., rank(N^max_k)] for a square matrix N.
+    """[rank(N^0), rank(N^1), ..., rank(N^max_k)] for a square N with N^max_k = 0.
 
-    A matrix that is not square and 2-D, or a negative max_k, raises
-    ValueError.  N is never written.  A C-ordered array of
-    min_scalar_type(p - 1) with every entry below p, as decompose passes
-    it, is read as it is, at the cost of one max; any other N is reduced
-    into a new array of that dtype.
+    Any other N raises ValueError, as do a matrix that is not square and
+    2-D and a negative max_k: the oracle decomposes only modules of the
+    cyclic group of order q, whose N has N^q = 0, and refuses the rest.
+    N is never written.  A C-ordered array of min_scalar_type(p - 1) with
+    every entry below p, as decompose passes it, is read as it is, at the
+    cost of one max; any other N is reduced into a new array of that dtype.
 
     Read off one Krylov elimination of row vectors times N.  The unit
     vectors W off lead_set(N) and the row space V N of N span V = F_p^d.
@@ -206,19 +205,14 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     j >= k count rank(N^k) exactly.  W may hold more than d - rank(N)
     vectors; that adds Krylov rows, not error.
 
-    Unrolled only L times, V = W + V N gives, for any N and every k <= L,
-    V N^k = V N^L + span{w N^j : k <= j < L}, so at most L layers are
-    built, L the least power of two at or above min(max_k, d).  If W N^L = 0,
-    every w lies in K = {v : v N^d = 0}, and V N^L = V N^(L+1) = ... is the
-    part U = V N^d on which N is invertible; V = K + U, projected along U,
-    gives K = W + K N, so the layers span K, and U adds d minus all pivots
-    to each rank.  Otherwise N is not nilpotent of index at most L, and the
-    nonzero rows of N^L, from repeated squaring, go ahead of the layers:
-    they span V N^L, so pivot_rows counts rank(N^L) among them as it would
-    among a basis.  The oracle passes max_k = q, and unipotent input of
-    order dividing q dies by depth q <= L, so only input it rejects reaches
-    the squaring.  When max_k exceeds L, then L >= d and
-    V N^k = V N^L for k >= L.
+    The layers are multiplied by N at most min(max_k, d) times.  A layer
+    still nonzero at that depth shows N^max_k != 0, or, when max_k >= d, N^d != 0, which a
+    nilpotent d x d matrix never has; it raises before any elimination.
+    Otherwise every w dies by then, but N may still be invertible on a
+    nonzero part: for N = 1, W is empty.  The layers of a nilpotent N span
+    V, so fewer than d pivots show that N is not nilpotent, and that raises
+    too.  N^max_k = 0 passes both tests, so exactly the N with
+    N^max_k = 0 return.
 
     The stack has a row per w and power of N leaving it nonzero: d rows for
     Jordan blocks, about 1.5 d for induced tensors and squares, but up to
@@ -226,10 +220,10 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     A layer is the one before times N, gathered over N's nonzeros, read
     column by column from the transposed view N.T with no copy, and summed
     per column of N by np.add.reduceat, a chunk of rows at a time so that
-    the int64 temporary of a dense N stays small.  Like the squaring and the
-    updates of pivot_rows, it sums at most d products of factors reduced mod
-    p, so every int64 entry stays within d*(p-1)^2, far inside int64 for
-    every prime and dimension admitted.
+    the int64 temporary of a dense N stays small.  Like the updates of
+    pivot_rows, it sums at most d products of factors reduced mod p, so
+    every int64 entry stays within d*(p-1)^2, far inside int64 for every
+    prime and dimension admitted.
     """
     shape = np.shape(n_mat)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -237,8 +231,6 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     d = shape[0]
-    if max_k == 0:
-        return [d]
     # every array kept here holds entries 0..p-1 in the smallest dtype that
     # fits; the eliminations make signed copies
     small = np.min_scalar_type(p - 1)
@@ -255,15 +247,16 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     vals = n[rows, cols].astype(np.int64)
     starts = np.flatnonzero(np.diff(cols, prepend=-1))
     heads = cols[starts]
-    depth = 1 << (min(max_k, d) - 1).bit_length()
+    depth = min(max_k, d)
     # the product has a column per nonzero of N, so it is formed a chunk of
     # rows at a time in two buffers sized for the first layer, the tallest
     chunk = max(1, min(len(layer), _PRODUCT_CELLS // max(1, len(rows))))
     picked = np.empty((chunk, len(rows)), dtype=small)
     terms = np.empty((chunk, len(rows)), dtype=np.int64)
-    layers = []
-    while layer.shape[0] and len(layers) < depth:
-        layers.append(layer)
+    layers = [layer]
+    while layer.shape[0]:
+        if len(layers) > depth:
+            raise ValueError(f"N^{max_k} is not zero")
         nxt = np.zeros_like(layer)
         for at in range(0, len(layer), chunk):
             part = layer[at : at + chunk]
@@ -272,18 +265,14 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
             np.multiply(picked[:m], vals, out=terms[:m])
             nxt[at : at + m, heads] = np.add.reduceat(terms[:m], starts, axis=1) % p
         layer = nxt[nxt.any(axis=1)]
-    head = np.zeros((0, d), dtype=small)
-    if layer.shape[0]:
-        power, e = n.astype(np.int64), 1
-        while e < depth:
-            power, e = power @ power % p, 2 * e
-        head = power[power.any(axis=1)].astype(small)
-    stack = [head, *layers[::-1]]
-    pivots = pivot_rows(np.vstack(stack), p)
-    # found[k]: the pivots in V N^L and the layers j >= k, which come first
-    found = np.searchsorted(pivots, np.cumsum([len(x) for x in stack]))[::-1]
-    ranks = found[np.minimum(np.arange(max_k + 1), len(layers))] + d - len(pivots)
-    return ranks.tolist()
+        layers.append(layer)
+    pivots = pivot_rows(np.vstack(layers[::-1]), p)
+    if len(pivots) < d:
+        raise ValueError(f"N^{max_k} is not zero")
+    # found[k]: the pivots in the layers j >= k, which come first; the last
+    # layer is empty
+    found = np.searchsorted(pivots, np.cumsum([len(x) for x in layers[::-1]]))[::-1]
+    return found[np.minimum(np.arange(max_k + 1), len(layers) - 1)].tolist()
 
 
 def smith_chain_valuations(P: np.ndarray, p: int, b: int) -> list[int]:

@@ -280,11 +280,14 @@ class TestWorkingDtype:
     @pytest.mark.parametrize("d, dtype", [(36, np.int16), (37, np.int32)])
     def test_dense_at_the_int16_edge(self, d, dtype, monkeypatch):
         # dense random matrices on both sides of the switch, full and low
-        # rank, and the matrix whose corner falls the furthest
+        # rank, a dense nilpotent one, whose Krylov stack of at least d rows
+        # is eliminated in the same dtype, and the matrix whose corner falls
+        # the furthest
         p = 31
         rng = random.Random(8400 + d)
         mats = [random_matrix(rng, d, d, p, 1.0) for _ in range(3)]
         mats += [low_rank_matrix(rng, d, d, r, p) for r in (d - 1, d // 2)]
+        mats.append(conjugated_jordan(rng, [12, 10, 8, d - 30], p))
         fall = (d - 1) * (p - 1) ** 2
         mats += [worst_growth_matrix(d, p, c) for c in (fall % p, (fall + 1) % p)]
         used = []
@@ -300,7 +303,13 @@ class TestWorkingDtype:
             used.clear()
             assert gfp.pivot_rows(m, p) == pivots
             assert used == [dtype]
-            assert gfp.rank_profile(m, p, d + 1) == power_ranks(m, p, d + 1)
+            ranks = power_ranks(m, p, d + 1)
+            used.clear()
+            assert_profile(m, p, d + 1, ranks)
+            if not ranks[-1]:
+                # the last elimination is the Krylov stack's
+                assert used[-1] == dtype
+        assert not power_ranks(mats[-3], p, d + 1)[-1]
         assert len(reference_column_basis(mats[-2], p)[1]) == d - 1
         assert len(reference_column_basis(mats[-1], p)[1]) == d
 
@@ -325,7 +334,7 @@ class TestWorkingDtype:
             ]
             for v in variants:
                 assert gfp.pivot_rows(v, p) == pivots
-                assert gfp.rank_profile(v, p, d + 1) == ranks
+                assert_profile(v, p, d + 1, ranks)
 
 
 def unit_triangular_inverse(t, p):
@@ -369,6 +378,16 @@ def power_ranks(n, p, max_k):
     return ranks
 
 
+def assert_profile(n, p, max_k, ranks):
+    """rank_profile(n) gives ranks, those of n's powers, when n^max_k = 0, and
+    raises ValueError otherwise."""
+    if ranks[-1]:
+        with pytest.raises(ValueError, match="is not zero"):
+            gfp.rank_profile(n, p, max_k)
+    else:
+        assert gfp.rank_profile(n, p, max_k) == ranks
+
+
 def block_ranks(sizes, max_k):
     return [sum(max(s - k, 0) for s in sizes) for k in range(max_k + 1)]
 
@@ -410,26 +429,35 @@ class TestRankProfile:
         rng = random.Random(7700)
         sizes = [5, 3, 3, 1]
         n = conjugated_jordan(rng, sizes, 5)
-        assert gfp.rank_profile(n, 5, 0) == [12]
-        assert gfp.rank_profile(n, 5, 2) == [12, 8, 5]
+        # cut below the nilpotency index 5, N^max_k != 0
+        for max_k in (0, 2):
+            with pytest.raises(ValueError, match="is not zero"):
+                gfp.rank_profile(n, 5, max_k)
+        assert gfp.rank_profile(n, 5, 5) == [12, 8, 5, 2, 1, 0]
         assert gfp.rank_profile(n, 5, 8) == [12, 8, 5, 2, 1, 0, 0, 0, 0]
 
     def test_not_nilpotent(self):
+        # W is empty, so no layer is built and the stack has no pivot
         eye = np.eye(4, dtype=np.int64)
-        assert gfp.rank_profile(eye, 3, 3) == [4, 4, 4, 4]
+        assert power_ranks(eye, 3, 3) == [4, 4, 4, 4]
+        with pytest.raises(ValueError, match="is not zero"):
+            gfp.rank_profile(eye, 3, 3)
 
     @pytest.mark.parametrize("p", (2, 3, 7))
     def test_complement_meets_invertible_part(self, p):
         # the free row e_0 has a component along the invertible part
-        # span{e_1}, so its Krylov layers never vanish: im N^d goes first
+        # span{e_1}, so its Krylov layers never vanish: the layer at depth
+        # d = 2 is alive
         n = np.array([[0, 0], [1, 1]], dtype=np.int64)
-        assert gfp.rank_profile(n, p, 3) == [2, 1, 1, 1]
+        assert power_ranks(n, p, 3) == [2, 1, 1, 1]
+        with pytest.raises(ValueError, match="is not zero"):
+            gfp.rank_profile(n, p, 3)
 
-    def test_invertible_half_depth_capped(self):
+    def test_invertible_half_depth_capped(self, monkeypatch):
         # a dense conjugate of (invertible 60 x 60) + 0: every Krylov layer
-        # survives, so the depth is capped at 8 >= max_k and the nonzero
-        # columns of N^8 go ahead of the layers (all d = 120 layers without
-        # the cap)
+        # survives, so the layer at depth max_k = 7 refuses N before any
+        # elimination of the stack (all d = 120 layers without the cap at
+        # max_k)
         p = 7
         rng = random.Random(8200)
         a = random_matrix(rng, 60, 60, p, 1.0)
@@ -440,13 +468,16 @@ class TestRankProfile:
         n = random_conjugate(rng, n, p)
         expected = [120] + [60] * 7
         assert power_ranks(n, p, 7) == expected
-        assert gfp.rank_profile(n, p, 7) == expected
+        monkeypatch.setattr(gfp, "pivot_rows", None)
+        with pytest.raises(ValueError, match="is not zero"):
+            gfp.rank_profile(n, p, 7)
         with pytest.raises(InvalidModuleError):
             oracle.decompose(RingContext(p, 1), (n + np.eye(120, dtype=np.int64)) % p)
 
     def test_dense_layer_product_memory(self):
         # a dense N has d^2 nonzeros, so one unchunked layer product of its
-        # 120 free rows would be a 120 x 49,000 int64 temporary (47 MB)
+        # 120 free rows would be a 120 x 49,000 int64 temporary (47 MB); N
+        # is refused at depth 7, after every layer is built
         p = 7
         rng = random.Random(8300)
         a = random_matrix(rng, 120, 120, p, 1.0)
@@ -457,12 +488,13 @@ class TestRankProfile:
         n = random_conjugate(rng, n, p)
         tracemalloc.start()
         try:
-            ranks = gfp.rank_profile(n, p, 7)
+            with pytest.raises(ValueError, match="is not zero"):
+                gfp.rank_profile(n, p, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        assert ranks == power_ranks(n, p, 7) == [240] + [120] * 7
+        assert power_ranks(n, p, 7) == [240] + [120] * 7
 
     def test_empty(self):
         assert gfp.rank_profile(np.zeros((0, 0), dtype=np.int64), 2, 3) == [0, 0, 0, 0]
@@ -477,7 +509,7 @@ class TestRankProfile:
 
     def test_invertible_plus_nilpotent(self):
         # an invertible 3 x 3 block beside nilpotent blocks of sizes 4 and 2:
-        # the ranks fall to 3 and stay there
+        # the ranks fall to 3 and stay there, so N is refused
         for p in (2, 3, 7):
             rng = random.Random(7800 + p)
             a = random_matrix(rng, 3, 3, p, 1.0)
@@ -490,7 +522,7 @@ class TestRankProfile:
             expected = [3 + r for r in block_ranks([4, 2], 7)]
             assert expected[-4:] == [3, 3, 3, 3]
             assert power_ranks(n, p, 7) == expected
-            assert gfp.rank_profile(n, p, 7) == expected
+            assert_profile(n, p, 7, expected)
 
     def test_small_max_k(self):
         rng = random.Random(7900)
@@ -498,17 +530,21 @@ class TestRankProfile:
             n = conjugated_jordan(rng, [6, 3, 1], p)
             general = random_matrix(rng, 10, 10, p, 0.4)
             for m in (n, general):
-                # 0, 1 and every cut below the nilpotency index 6
-                for max_k in range(6):
-                    assert gfp.rank_profile(m, p, max_k) == power_ranks(m, p, max_k)
+                # 0, 1, every cut below the nilpotency index 6, the index
+                # and one above it
+                for max_k in range(8):
+                    assert_profile(m, p, max_k, power_ranks(m, p, max_k))
 
     @pytest.mark.parametrize("p", (2, 3, 1021))
     def test_one_by_one(self, p):
         for value in (0, p, -p):
             assert gfp.rank_profile(np.array([[value]]), p, 3) == [1, 0, 0, 0]
         for value in (1, p - 1, p + 1, -1):
-            assert gfp.rank_profile(np.array([[value]]), p, 3) == [1, 1, 1, 1]
-        assert gfp.rank_profile(np.array([[1]]), p, 0) == [1]
+            with pytest.raises(ValueError, match="is not zero"):
+                gfp.rank_profile(np.array([[value]]), p, 3)
+        # N^0 = 1 != 0
+        with pytest.raises(ValueError, match="is not zero"):
+            gfp.rank_profile(np.array([[1]]), p, 0)
 
     @pytest.mark.parametrize("p, nu", [(2, 3), (3, 2)])
     def test_induced_displacements(self, p, nu):
@@ -527,7 +563,7 @@ class TestRankProfile:
     @pytest.mark.parametrize("p", (2, 3, 5, 31, 1021))
     def test_dense_general(self, p):
         # neither nilpotent nor invertible as a rule: full, low-rank and
-        # partly nilpotent matrices
+        # partly nilpotent matrices, refused unless nilpotent
         rng = random.Random(8000 + p)
         for _ in range(12):
             d = rng.randint(1, 18)
@@ -542,7 +578,7 @@ class TestRankProfile:
                 m[:k, :k] = random_matrix(rng, k, k, p, 1.0)
                 m[k:, k:] = np.triu(random_matrix(rng, d - k, d - k, p, 0.7), 1)
                 m = random_conjugate(rng, m, p)
-            assert gfp.rank_profile(m, p, d + 1) == power_ranks(m, p, d + 1)
+            assert_profile(m, p, d + 1, power_ranks(m, p, d + 1))
 
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -706,7 +742,7 @@ class TestResidueInput:
             for form in forms:
                 before = form.copy()
                 calls = self.reduce_calls(monkeypatch)
-                assert gfp.rank_profile(form, p, d + 1) == expected
+                assert_profile(form, p, d + 1, expected)
                 assert np.array_equal(form, before)
                 # the residue form alone skips the copy into min_scalar_type(p - 1)
                 copied = small in calls
