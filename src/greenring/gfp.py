@@ -21,8 +21,11 @@ elimination kernel, _pivots, read as pivot_rows: it finds the rows
 independent of the rows above them and the leading column of each one's
 reduced row, builds no basis, and updates only the rows in the pivot's
 column, from the pivot to the last nonzero of the pivot row.  A layer is
-a product over N's nonzeros, so the sparse displacements of induced
-Jordan actions stay cheap throughout.  A tensor of
+a product over N's nonzeros, laid out as a fixed number of slots a column
+with the rest spilled to one list (_slots), so the sparse displacements of
+induced Jordan actions stay cheap throughout; its column sums are held in
+the narrowest unsigned dtype holding N's longest column times (p-1)^2,
+uint8 for the induced matrices at p = 7.  A tensor of
 Jordan blocks J_a, J_b needs no matrix of its own: its block sizes are the
 Smith valuations of an a x a matrix over F_p[Z], by long division by
 minimal-valuation pivots (jordan_pair_rank_profile).
@@ -182,8 +185,47 @@ def lead_set(n: np.ndarray, p: int) -> np.ndarray:
     return led
 
 
-# entries of the layer product's int64 buffer (2 MB)
+# cells of one chunk of the layer product, whose buffers take a few bytes a cell
 _PRODUCT_CELLS = 1 << 18
+
+
+def _slots(n: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.dtype]:
+    """N's nonzeros as the cells of rank_profile's layer product.
+
+    A layer's next layer at column c is the sum over N's nonzeros N[r, c] of
+    layer[:, r] * N[r, c].  A k x d slot table holds the first k nonzeros of
+    each column, row index and value, slot-major; an empty slot points at the
+    zero pad column d of the layer with value 0.  The nonzeros past a
+    column's k-th spill over into one list.  index and vals hold the table,
+    flattened, then the spill; spill holds the column of each spilled cell.
+    k = min(longest column, max(1, 2 nnz // d)), so the table has at most
+    2 nnz + d cells: k = 1 for a Jordan block, 3 for the induced tensors and
+    squares, d for a dense N.
+
+    wide is the narrowest unsigned dtype holding the longest column's count
+    times (p-1)^2, the most a column of the product sums to, and p: uint8 at
+    p = 7 up to seven nonzeros a column, uint16 for a dense N at p = 7.
+    """
+    d = len(n)
+    cols, rows = np.nonzero(n.T)
+    counts = np.bincount(cols, minlength=d)
+    longest = int(counts.max(initial=0))
+    k = min(longest, max(1, 2 * len(rows) // max(1, d)))
+    wide = np.min_scalar_type(max(1, longest) * (p - 1) ** 2)
+    values = n[rows, cols]
+    # the position of each nonzero in its column: nonzero lists them by column
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[cols]
+    slot = rank < k
+    index = np.full((k, d), d, dtype=np.intp)
+    vals = np.zeros((k, d), dtype=wide)
+    index[rank[slot], cols[slot]] = rows[slot]
+    vals[rank[slot], cols[slot]] = values[slot]
+    return (
+        np.concatenate([index.ravel(), rows[~slot]]),
+        np.concatenate([vals.ravel(), values[~slot]], dtype=wide),
+        cols[~slot],
+        wide,
+    )
 
 
 def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
@@ -217,13 +259,19 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     The stack has a row per w and power of N leaving it nonzero: d rows for
     Jordan blocks, about 1.5 d for induced tensors and squares, but up to
     #blocks x index for dense conjugates P J P^-1 with skewed block sizes.
-    A layer is the one before times N, gathered over N's nonzeros, read
-    column by column from the transposed view N.T with no copy, and summed
-    per column of N by np.add.reduceat, a chunk of rows at a time so that
-    the int64 temporary of a dense N stays small.  Like the updates of
-    pivot_rows, it sums at most d products of factors reduced mod p, so
-    every int64 entry stays within d*(p-1)^2, far inside int64 for every
-    prime and dimension admitted.
+    A layer is the one before times N over the cells of _slots, a chunk of
+    rows at a time: one np.take of the layer at the cells' rows, one
+    np.multiply by their values, one sum over each column's k slots, one
+    np.add.at of the spilled cells if a column is longer than k, and one
+    np.remainder into the next layer.  Each layer carries a zero pad column
+    d, where the empty slots point.  A chunk has _PRODUCT_CELLS // cells
+    rows, so a dense N, with d slots a column, makes no rows x d^2
+    temporary.  A column of N with c nonzeros sums c products of residues,
+    at most c*(p-1)^2, so the sums are exact in the wide dtype of _slots and
+    are reduced once.  The spill keeps one long column from widening the
+    table for all: a shift of d = 600 with a full last column has 3 slots
+    a column and 596 spilled cells, 2,396 cells in all, where 600 slots a
+    column would be 360,000.
     """
     shape = np.shape(n_mat)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -242,31 +290,38 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
         and n.max(initial=0) < p
     ):
         n = reduced(n_mat, p, small)
-    layer = np.eye(d, dtype=small)[~lead_set(n, p)]
-    cols, rows = np.nonzero(n.T)
-    vals = n[rows, cols].astype(np.int64)
-    starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    heads = cols[starts]
+    # each layer carries a zero pad column d, where the empty slots point
+    layer = np.eye(d, d + 1, dtype=small)[~lead_set(n, p)]
+    index, vals, spill, wide = _slots(n, p)
+    cells = len(index)
+    table = cells - len(spill)
     depth = min(max_k, d)
-    # the product has a column per nonzero of N, so it is formed a chunk of
-    # rows at a time in two buffers sized for the first layer, the tallest
-    chunk = max(1, min(len(layer), _PRODUCT_CELLS // max(1, len(rows))))
-    picked = np.empty((chunk, len(rows)), dtype=small)
-    terms = np.empty((chunk, len(rows)), dtype=np.int64)
+    # the product has a column per cell, so it is formed a chunk of rows at
+    # a time in buffers sized for the first layer, the tallest
+    chunk = max(1, min(len(layer), _PRODUCT_CELLS // max(1, cells)))
+    picked = np.empty((chunk, cells), dtype=small)
+    terms = np.empty((chunk, cells), dtype=wide)
+    sums = np.empty((chunk, d), dtype=wide)
+    # the spilled cells' places in sums, flattened, for every row of a chunk
+    spots = (spill + d * np.arange(chunk)[:, None]).ravel()
+    modulus = wide.type(p)
     layers = [layer]
     while layer.shape[0]:
         if len(layers) > depth:
             raise ValueError(f"N^{max_k} is not zero")
-        nxt = np.zeros_like(layer)
+        nxt = np.zeros(layer.shape, dtype=small)
         for at in range(0, len(layer), chunk):
-            part = layer[at : at + chunk]
-            m = len(part)
-            np.take(part, rows, axis=1, out=picked[:m])
+            m = min(chunk, len(layer) - at)
+            layer[at : at + m].take(index, axis=1, out=picked[:m], mode="clip")
             np.multiply(picked[:m], vals, out=terms[:m])
-            nxt[at : at + m, heads] = np.add.reduceat(terms[:m], starts, axis=1) % p
+            np.add.reduce(terms[:m, :table].reshape(m, table // d, d), axis=1, dtype=wide, out=sums[:m])
+            if len(spill):
+                flat = terms[:m, table:].reshape(-1)
+                np.add.at(sums[:m].reshape(-1), spots[: len(flat)], flat)
+            np.remainder(sums[:m], modulus, out=nxt[at : at + m, :d], casting="unsafe")
         layer = nxt[nxt.any(axis=1)]
         layers.append(layer)
-    pivots = pivot_rows(np.vstack(layers[::-1]), p)
+    pivots = pivot_rows(np.vstack([x[:, :d] for x in layers[::-1]]), p)
     if len(pivots) < d:
         raise ValueError(f"N^{max_k} is not zero")
     # found[k]: the pivots in the layers j >= k, which come first; the last

@@ -241,10 +241,11 @@ def decompose(ctx: RingContext, g: np.ndarray) -> DecompositionReport:
     rank_profile reads it with no second copy, and its eliminations, of the
     rows of N that share a leading column and of the Krylov stack, work on
     int16 copies for every d up to 909 at p = 7.  Decomposing the 22x24
-    tensor at (7,2) peaks at about 2.2 MiB of traced allocations besides g,
-    the 40x45 tensor (d = 1800) at about 25.8 MiB, against 2.2 and 26.6 MiB
-    with an elimination of all of N, 2.5 and 29.7 MiB with a second reduced
-    copy of N as well, and 6.9 and 66 MiB with int64 working copies.
+    tensor at (7,2) peaks at about 2.0 MiB of traced allocations besides g,
+    the 40x45 tensor (d = 1800) at about 24.3 MiB, against 2.2 and 25.8 MiB
+    with an int64 layer product, 2.2 and 26.6 MiB with an elimination of
+    all of N as well, 2.5 and 29.7 MiB with a second reduced copy of N, and
+    6.9 and 66 MiB with int64 working copies.
     """
     n_mat = _module_matrix(g, ctx.p, np.min_scalar_type(ctx.p - 1))
     d = n_mat.shape[0]

@@ -392,6 +392,66 @@ def block_ranks(sizes, max_k):
     return [sum(max(s - k, 0) for s in sizes) for k in range(max_k + 1)]
 
 
+def krylov_stack(n, p):
+    """The layers w N^j of the unit vectors w off lead_set(N), zero rows dropped, deepest first."""
+    layer = np.eye(len(n), dtype=np.int64)[~gfp.lead_set(n, p)]
+    layers = []
+    while len(layer):
+        layers.append(layer)
+        layer = layer @ n % p
+        layer = layer[layer.any(axis=1)]
+    return np.vstack(layers[::-1])
+
+
+def shifts_with_full_column(rng, sizes, p):
+    """Shift blocks of these sizes, then every entry of the last column above the diagonal nonzero.
+
+    The matrix is strictly upper triangular.  With one block, its
+    superdiagonal stays nonzero, so it is one Jordan block of size d.  With
+    m blocks of size s >= 2, let z be the last basis vector: each block but
+    the last runs s steps and then hits a nonzero multiple of z, and the
+    last block ends at z.  So its Jordan type is s + 1, s (m - 2 times) and
+    s - 1.
+    """
+    d = sum(sizes)
+    n = np.zeros((d, d), dtype=np.int64)
+    at = 0
+    for s in sizes:
+        n[np.arange(at, at + s - 1), np.arange(at + 1, at + s)] = 1
+        at += s
+    n[: d - 1, d - 1] = [rng.randrange(1, p) for _ in range(d - 1)]
+    return n
+
+
+def column_sum_edge(p, m):
+    """N of size m + 2 whose longest column, of m nonzeros, sums to nearly m (p-1)^2.
+
+    Row 0 is a at columns 1..m and column m + 1 is b at rows 1..m, so
+    e_0 N^2 = (sum_r a_r b_r) e_(m+1), a column sum of m products of
+    residues, and no other entry of N^2 is nonzero.  For m = 1, a = b = p - 1.
+    For m >= 2 the products are (p-1)^2 but for two, picked to make the sum
+    the largest one divisible by p, so that N^2 = 0: an accumulator that
+    wraps below the sum makes N^2 look nonzero.  Returns N and the sum.
+    """
+    best = {}
+    for x in range(1, p):
+        for y in range(1, p):
+            t = x * y % p
+            if x * y > best.get(t, (0,))[0]:
+                best[t] = (x * y, x, y)
+    a = [p - 1] * m
+    b = [p - 1] * m
+    if m >= 2:
+        pairs = [t for t in best if (2 - m - t) % p in best]
+        t = max(pairs, key=lambda t: best[t][0] + best[(2 - m - t) % p][0])
+        a[-2:] = best[t][1], best[(2 - m - t) % p][1]
+        b[-2:] = best[t][2], best[(2 - m - t) % p][2]
+    n = np.zeros((m + 2, m + 2), dtype=np.int64)
+    n[0, 1 : m + 1] = a
+    n[1 : m + 1, m + 1] = b
+    return n, sum(x * y for x, y in zip(a, b))
+
+
 class TestRankProfile:
     @pytest.mark.parametrize("p", (2, 3, 5, 7, 31))
     def test_dense_conjugates(self, p):
@@ -474,10 +534,55 @@ class TestRankProfile:
         with pytest.raises(InvalidModuleError):
             oracle.decompose(RingContext(p, 1), (n + np.eye(120, dtype=np.int64)) % p)
 
+    @pytest.mark.parametrize("sizes", [[40], [600], [5] * 6, [15] * 40])
+    def test_one_full_column_spills(self, sizes, monkeypatch):
+        # one column of d - 1 nonzeros beside columns of one: the slot
+        # table has 3 slots a column, so the column's other nonzeros go
+        # through the spill.  The small cases are checked against the
+        # powers of N, the d = 600 ones against the Jordan type that
+        # shifts_with_full_column derives and the small ones
+        # confirm.  With several blocks the layers have a row per block, and
+        # the stack must equal their explicit products row by row
+        p = 7
+        n = shifts_with_full_column(random.Random(9000 + len(sizes)), sizes, p)
+        d = len(n)
+        spill = gfp._slots(n.astype(np.uint8), p)[2]
+        assert len(spill) == d - 4 and set(spill.tolist()) == {d - 1}
+        blocks = [d] if len(sizes) == 1 else [sizes[0] + 1] + sizes[2:] + [sizes[0] - 1]
+        max_k = max(blocks) + 1
+        expected = block_ranks(blocks, max_k)
+        if d < 600:
+            assert power_ranks(n, p, max_k) == expected
+        calls = self.stacks(monkeypatch)
+        assert gfp.rank_profile(n, p, max_k) == expected
+        (stack,) = calls
+        assert np.array_equal(stack, krylov_stack(n, p))
+
+    @pytest.mark.parametrize("p, m, wide", [
+        (7, 7, np.uint8), (7, 8, np.uint16), (17, 1, np.uint16), (251, 1, np.uint16),
+        (251, 2, np.uint32), (257, 1, np.uint32), (257, 2, np.uint32),
+    ])
+    def test_column_sums_at_the_dtype_edges(self, p, m, wide):
+        # the product sums a column in the narrowest unsigned dtype holding
+        # (longest column) (p-1)^2: just below and just above 255 and
+        # 65,535, and on both sides of uint8 residues (p = 251 and 257).
+        # Above an edge, the column sum passes the narrower dtype, so a
+        # product summed there would wrap and misread N^2
+        n, total = column_sum_edge(p, m)
+        assert gfp._slots(n.astype(np.min_scalar_type(p - 1)), p)[3] == wide
+        assert total <= m * (p - 1) ** 2 <= np.iinfo(wide).max
+        if wide != np.uint8:
+            narrower = np.dtype(f"u{np.dtype(wide).itemsize // 2}")
+            assert total > np.iinfo(narrower).max
+        ranks = power_ranks(n, p, 3)
+        assert ranks == ([3, 2, 1, 0] if m == 1 else [m + 2, 2, 0, 0])
+        assert gfp.rank_profile(n, p, 3) == ranks
+
     def test_dense_layer_product_memory(self):
-        # a dense N has d^2 nonzeros, so one unchunked layer product of its
-        # 120 free rows would be a 120 x 49,000 int64 temporary (47 MB); N
-        # is refused at depth 7, after every layer is built
+        # a dense N has about 6/7 d^2 nonzeros and 223 slots a column here,
+        # so one unchunked layer product of its 120 free rows would gather
+        # 120 x 53,520 residues (6.4 MB) and their uint16 products (12.8 MB);
+        # N is refused at depth 7, after every layer is built
         p = 7
         rng = random.Random(8300)
         a = random_matrix(rng, 120, 120, p, 1.0)
@@ -630,15 +735,9 @@ class TestRankProfile:
         calls = self.stacks(monkeypatch)
         profile = gfp.rank_profile(n, 7, ctx.order)
         assert profile == list(oracle.pair_product(ctx, a, b).rank_profile)
-        layer = np.eye(a * b, dtype=np.int64)[~gfp.lead_set(n, 7)]
-        assert len(layer) == min(a, b)
-        layers = []
-        while len(layer):
-            layers.append(layer)
-            layer = layer @ n % 7
-            layer = layer[layer.any(axis=1)]
+        assert (~gfp.lead_set(n, 7)).sum() == min(a, b)
         (stack,) = calls
-        assert np.array_equal(stack, np.vstack(layers[::-1]))
+        assert np.array_equal(stack, krylov_stack(n, 7))
 
     def test_dense_stack_height(self, monkeypatch):
         # a dense conjugate of 12 blocks of 12 at p = 7 (d = 144): the

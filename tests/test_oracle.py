@@ -227,10 +227,10 @@ class TestWorkingMemory:
     # that N with no second copy, and the eliminations, of the rows of N
     # sharing a leading column and of the Krylov stack, work on int16 or
     # int32 copies, so the caller's int64 g is its only array of that width;
-    # the peaks are about 2.2 and 25.8 MiB of traced allocations (2.2 and
-    # 26.6 MiB with an elimination of all of N, 2.5 and 29.7 MiB with a
-    # second reduced copy of N as well, 6.9 and 66 MiB with int64 working
-    # copies)
+    # the peaks are about 2.0 and 24.3 MiB of traced allocations (2.2 and
+    # 25.8 MiB with an int64 layer product, 2.2 and 26.6 MiB with an
+    # elimination of all of N as well, 2.5 and 29.7 MiB with a second
+    # reduced copy of N, 6.9 and 66 MiB with int64 working copies)
     @pytest.mark.parametrize("a, b, bound_mib", [(22, 24, 3), (40, 45, 28)])
     def test_decompose_peak(self, a, b, bound_mib):
         ctx = RingContext(7, 2)
