@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -141,12 +141,49 @@ def tensor(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_supports(a: np.ndarray) -> list[list[tuple[int, int]]]:
-    cols = []
-    for t in range(a.shape[1]):
-        nz = np.flatnonzero(a[:, t])
-        cols.append([(int(i), int(a[i, t])) for i in nz])
-    return cols
+# index cells of one chunk of the induced-power expansion, whose arrays take
+# a few int64s a cell
+_POWER_CELLS = 1 << 18
+
+
+def _expand(
+    tuples: np.ndarray, columns: tuple, p: np.int64, alternating: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of the images of these basis tuples: (indices, owner, value).
+
+    columns lists a's nonzeros column by column: their rows and values, and
+    each column's count and start.  Each tuple's n factors are expanded one
+    at a time over them with np.repeat; a term keeps the row of its tuple
+    (owner), its indices so far and its value, a residue.  An exterior term
+    drops a repeated index as soon as it appears and is negated once for
+    each index above the new one, the parity of the inversions.  The
+    indices come back sorted along each row.
+    """
+    rows, vals, counts, starts = columns
+    owner = np.arange(len(tuples))
+    index = np.empty((len(tuples), 0), dtype=np.intp)
+    value = np.ones(len(tuples), dtype=np.int64)
+    odd = np.zeros(len(tuples), dtype=bool)
+    for k in range(tuples.shape[1]):
+        t = tuples[owner, k]
+        per = counts[t]
+        term = np.repeat(np.arange(len(t)), per)
+        # the place of each term's nonzero in column t of a: its place among
+        # the terms of its parent, shifted to the start of the column
+        at = np.arange(len(term)) + np.repeat(starts[t] - (np.cumsum(per) - per), per)
+        row = rows[at]
+        index, owner = index[term], owner[term]
+        value = value[term] * vals[at]
+        value -= value // p * p
+        if alternating:
+            keep = ~(index == row[:, None]).any(axis=1)
+            odd = odd[term] ^ (np.count_nonzero(index > row[:, None], axis=1) & 1).astype(bool)
+            index, owner, value, odd, row = (x[keep] for x in (index, owner, value, odd, row))
+        index = np.concatenate([index, row[:, None]], axis=1)
+    if alternating:
+        value[odd] = p - value[odd]
+    index.sort(axis=1)
+    return index, owner, value
 
 
 def _induced_power(
@@ -154,31 +191,66 @@ def _induced_power(
 ) -> np.ndarray:
     """Induced action of a on the n-th exterior (alternating) or symmetric power.
 
-    An exterior term skips a repeated index and takes the sign of the parity
-    of its indices above the new one.  a is reduced mod p (_module_matrix),
-    and the result is reduced in place.
+    a is d x d, reduced mod p (_module_matrix).  The basis is the increasing
+    (alternating) or non-decreasing n-tuples of 0..d-1 in lexicographic
+    order, and column c is the image of tuple c, the product over its
+    entries t of column t of a.  The build is array operations throughout:
+    _expand lists each column's terms with their sorted indices, the
+    combinatorial number system ranks those among the basis, and one
+    np.add.at adds the terms into the int64 result, of which only the
+    entries touched are reduced.  The columns are expanded a chunk at a
+    time, so that the terms' index arrays, at most the product of the
+    factors' column counts times n cells a column, stay within _POWER_CELLS
+    cells unless one column alone has more.  S^3 of a dense 16 x 16 matrix,
+    3.3 M terms, peaks at its 5.1 MiB result plus about 11.5 MiB.
     """
+    p = np.int64(ctx.p)
+    d = a.shape[0]
     pick = combinations if alternating else combinations_with_replacement
-    basis = list(pick(range(a.shape[0]), n))
-    index = {t: i for i, t in enumerate(basis)}
-    cols = _column_supports(a)
-    out = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    for ci, tup in enumerate(basis):
-        terms: list[tuple[list[int], int]] = [([], 1)]
-        for t in tup:
-            new_terms = []
-            for idx, val in terms:
-                for row, v in cols[t]:
-                    if alternating:
-                        if row in idx:
-                            continue
-                        if len([x for x in idx if x > row]) % 2:
-                            v = -v
-                    new_terms.append((sorted(idx + [row]), val * v))
-            terms = new_terms
-        for idx, val in terms:
-            out[index[tuple(idx)], ci] += val
-    out %= ctx.p
+    # the tuples, and their lexicographic ranks, are those of the n-subsets
+    # of 0..top-1: a non-decreasing tuple s is the subset s_k + k
+    top = d if alternating else d + n - 1
+    size = math.comb(top, n) if top >= 0 else 1
+    basis = np.fromiter(
+        chain.from_iterable(pick(range(d), n)), dtype=np.intp, count=size * n
+    ).reshape(size, n)
+    out = np.zeros((size, size), dtype=np.int64)
+    if not size:
+        return out
+    # the rank of the subset c_0 < ... < c_(n-1) is
+    # C(top, n) - 1 - sum_k C(top - 1 - c_k, n - k); each term of the sum is
+    # binom[n - k, j] for j = top - n + k - c_k in 0..top - n, where
+    # binom[m, j] = C(j - 1 + m, m) (0 at j = 0), by the hockey-stick
+    # identity a running sum of row m - 1, and at most C(top, n)
+    binom = np.zeros((n + 1, top - n + 1), dtype=np.int64)
+    if n:
+        binom[1] = np.arange(top - n + 1)
+    for m in range(2, n + 1):
+        np.cumsum(binom[m - 1], out=binom[m])
+    # j = d - 1 - s_k + shift[k] for the sorted tuple s
+    shift = np.arange(n) - (n - 1) if alternating else np.zeros(n, dtype=np.intp)
+    degrees = np.arange(n, 0, -1)
+    cols, rows = gfp.column_nonzeros(a)
+    counts = np.bincount(cols, minlength=d)
+    columns = (rows, a[rows, cols], counts, np.cumsum(counts) - counts)
+    # each column's index cells, bounded by the product of its factors'
+    # column counts, clipped at the budget
+    bound = np.ones(size, dtype=np.int64)
+    for k in range(n):
+        bound = np.minimum(bound * counts[basis[:, k]], _POWER_CELLS)
+    ends = np.cumsum(bound * n)
+    flat = out.reshape(-1)
+    lo = 0
+    while lo < size:
+        room = (ends[lo - 1] if lo else 0) + _POWER_CELLS
+        hi = max(lo + 1, int(np.searchsorted(ends, room, "right")))
+        index, owner, value = _expand(basis[lo:hi], columns, p, alternating)
+        rank = size - 1 - binom[degrees, d - 1 - index + shift].sum(axis=1)
+        spots = rank * size + owner + lo
+        np.add.at(flat, spots, value)
+        touched = flat[spots]
+        flat[spots] = touched - touched // p * p
+        lo = hi
     return out
 
 
@@ -239,13 +311,13 @@ def decompose(ctx: RingContext, g: np.ndarray) -> DecompositionReport:
     g is reduced into min_scalar_type(p - 1), uint8 for p <= 251, so the
     caller's matrix is the only array of g's width: N is a byte an entry,
     rank_profile reads it with no second copy, and its eliminations, of the
-    rows of N that share a leading column and of the Krylov stack, work on
-    int16 copies for every d up to 909 at p = 7.  Decomposing the 22x24
-    tensor at (7,2) peaks at about 2.0 MiB of traced allocations besides g,
-    the 40x45 tensor (d = 1800) at about 24.3 MiB, against 2.2 and 25.8 MiB
-    with an int64 layer product, 2.2 and 26.6 MiB with an elimination of
-    all of N as well, 2.5 and 29.7 MiB with a second reduced copy of N, and
-    6.9 and 66 MiB with int64 working copies.
+    rows of N that share a leading column and of the Krylov stack, keep
+    their copies reduced on write, in int8 for every d at p = 7.
+    Decomposing the 22x24 tensor at (7,2) peaks at about 1.6 MiB of traced
+    allocations besides g, the 40x45 tensor (d = 1800) at about 14.0 MiB,
+    against 2.0 and 24.3 MiB with int16 and int32 eliminations sized for
+    min(rows, cols) updates, 2.2 and 25.8 MiB with an int64 layer product as
+    well, and 6.9 and 66 MiB with int64 working copies.
     """
     n_mat = _module_matrix(g, ctx.p, np.min_scalar_type(ctx.p - 1))
     d = n_mat.shape[0]

@@ -61,3 +61,10 @@ def test_pair_ratio_quartiles_show_the_paired_effect():
 def test_pair_ratio_quartiles_skip_zero_parents():
     assert bench_pair.pair_ratio_quartiles([0.0, 2.0, 4.0], [1.0, 1.0, 3.0]) == [0.5625, 0.625, 0.6875]
     assert bench_pair.pair_ratio_quartiles([0.0], [1.0]) is None
+
+
+@pytest.mark.parametrize("text, seeds", [("1-3", [1, 2, 3]), ("1,2,5", [1, 2, 5]),
+                                         ("1-2,7", [1, 2, 7]), ("", [])])
+def test_seed_list(text, seeds):
+    # "" is no seeds, so --trace-seeds '' skips the traced runs
+    assert bench_pair.seed_list(text) == seeds

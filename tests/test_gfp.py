@@ -250,9 +250,9 @@ def worst_growth_matrix(d, p, corner):
 
     Row i < d-1 is e_i + (p-1) e_(d-1), each a pivot with no update above it,
     and the last row is p-1 before the corner: every multiplier is p-1, so
-    the corner falls by (d-1)(p-1)^2 before its row is reduced, the most any
-    entry of a d-row elimination can fall.  The last row is dependent exactly
-    when corner = (d-1)(p-1)^2 mod p.
+    every update takes (p-1)^2 off the corner, the most one update can take,
+    (d-1)(p-1)^2 in all.  The last row is dependent exactly when
+    corner = (d-1)(p-1)^2 mod p.
     """
     m = np.eye(d, dtype=np.int64)
     m[:, -1] = p - 1
@@ -263,28 +263,30 @@ def worst_growth_matrix(d, p, corner):
 
 class TestWorkingDtype:
     # pivot_rows eliminates on the narrowest signed dtype holding
-    # min(rows, cols)*(p-1)^2 + p; at p = 31 that is 36*900 + 31 < 2^15 for
-    # 36 rows and int32 from 37 rows, at p = 1021 int32 up to 2064 rows
-    @pytest.mark.parametrize("rows, cols, p, dtype", [
-        (36, 36, 31, np.int16), (36, 500, 31, np.int16), (500, 37, 31, np.int32),
-        (2064, 2064, 1021, np.int32), (5000, 2064, 1021, np.int32),
-        (2065, 2065, 1021, np.int64), (2065, 5000, 1021, np.int64),
-        (126, 126, 2, np.int8), (127, 127, 2, np.int16), (0, 0, 1021, np.int16),
+    # (p-1)^2 + p, whatever the matrix size: every entry it reads is a
+    # residue and one update lowers it by at most (p-1)^2 before it is
+    # reduced again; pinned on both sides of each switch
+    @pytest.mark.parametrize("p, dtype", [
+        (2, np.int8), (7, np.int8), (11, np.int8), (13, np.int16), (31, np.int16),
+        (181, np.int16), (191, np.int32), (1021, np.int32), (46337, np.int32),
+        (46349, np.int64),
     ])
-    def test_rule(self, rows, cols, p, dtype):
-        got = gfp.elimination_dtype(rows, cols, p)
+    def test_rule(self, p, dtype):
+        got = gfp.elimination_dtype(p)
         assert got == dtype
-        bound = min(rows, cols) * (p - 1) ** 2 + p
+        bound = (p - 1) ** 2 + p
         assert np.iinfo(got).min <= -bound and bound - 1 <= np.iinfo(got).max
+        narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}.get(dtype)
+        assert narrower is None or -bound < np.iinfo(narrower).min
 
-    @pytest.mark.parametrize("d, dtype", [(36, np.int16), (37, np.int32)])
-    def test_dense_at_the_int16_edge(self, d, dtype, monkeypatch):
+    @pytest.mark.parametrize("p, dtype", [(181, np.int16), (191, np.int32)])
+    def test_dense_at_the_int16_edge(self, p, dtype, monkeypatch):
         # dense random matrices on both sides of the switch, full and low
         # rank, a dense nilpotent one, whose Krylov stack of at least d rows
-        # is eliminated in the same dtype, and the matrix whose corner falls
-        # the furthest
-        p = 31
-        rng = random.Random(8400 + d)
+        # is eliminated in the same dtype, and the matrices whose corner
+        # takes (p-1)^2 at every pivot, the most one update can take
+        d = 36
+        rng = random.Random(8400 + p)
         mats = [random_matrix(rng, d, d, p, 1.0) for _ in range(3)]
         mats += [low_rank_matrix(rng, d, d, r, p) for r in (d - 1, d // 2)]
         mats.append(conjugated_jordan(rng, [12, 10, 8, d - 30], p))
@@ -312,6 +314,24 @@ class TestWorkingDtype:
         assert not power_ranks(mats[-3], p, d + 1)[-1]
         assert len(reference_column_basis(mats[-2], p)[1]) == d - 1
         assert len(reference_column_basis(mats[-1], p)[1]) == d
+
+    def test_large_stack_in_int8(self, monkeypatch):
+        # the Krylov stack of the 40 x 45 tensor at (7,2), 1,950 x 1,800, is
+        # eliminated in int8, as every matrix at p = 7 is
+        ctx = RingContext(7, 2)
+        g = oracle.tensor(ctx, oracle.realize(ctx, 40), oracle.realize(ctx, 45))
+        used = []
+        reduced = gfp.reduced
+
+        def record(m, p, dtype):
+            used.append((m.shape, np.dtype(dtype)))
+            return reduced(m, p, dtype)
+
+        monkeypatch.setattr(gfp, "reduced", record)
+        report = oracle.decompose(ctx, g)
+        assert report.to_element() == oracle.pair_product(ctx, 40, 45).to_element()
+        # the elimination of the stack comes last
+        assert used[-1] == ((1950, 1800), np.dtype(np.int8))
 
     @pytest.mark.parametrize("d", (36, 37))
     def test_unreduced_negative_and_unsigned_input(self, d):

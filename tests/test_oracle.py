@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -35,7 +36,7 @@ from greenring import (
     wedge_decomposition,
     zero,
 )
-from greenring import gfp
+from greenring import gfp, oracle
 from greenring.core import basis_product
 
 SEED_PAIRS = 20090912
@@ -89,6 +90,39 @@ def ladder_product(p, a, b):
     for _ in range(k - 1):
         prev, cur = cur, _ladder_step(cur, pj, top, -prev)
     return tuple((int(t), int(cur[t])) for t in np.flatnonzero(cur))
+
+
+def reference_induced_power(p, n, a, alternating):
+    """The n-th exterior or symmetric power of a, one term at a time in Python.
+
+    Column c is the image of the c-th increasing (exterior) or
+    non-decreasing (symmetric) n-tuple in lexicographic order: each factor
+    t multiplies every term so far by each nonzero a[row, t]; an exterior
+    term skips a repeated row and takes the sign of the parity of its rows
+    above the new one.
+    """
+    a = np.asarray(a, dtype=np.int64) % p
+    pick = itertools.combinations if alternating else itertools.combinations_with_replacement
+    basis = list(pick(range(a.shape[0]), n))
+    index = {t: i for i, t in enumerate(basis)}
+    cols = [[(int(i), int(a[i, t])) for i in np.flatnonzero(a[:, t])] for t in range(a.shape[1])]
+    out = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for ci, tup in enumerate(basis):
+        terms = [([], 1)]
+        for t in tup:
+            new_terms = []
+            for idx, val in terms:
+                for row, v in cols[t]:
+                    if alternating:
+                        if row in idx:
+                            continue
+                        if len([x for x in idx if x > row]) % 2:
+                            v = -v
+                    new_terms.append((sorted(idx + [row]), val * v))
+            terms = new_terms
+        for idx, val in terms:
+            out[index[tuple(idx)], ci] += val
+    return out % p
 
 
 def small_elements(ctx):
@@ -225,12 +259,12 @@ class TestDecompose:
 class TestWorkingMemory:
     # decompose reduces g into min_scalar_type(p - 1), rank_profile reads
     # that N with no second copy, and the eliminations, of the rows of N
-    # sharing a leading column and of the Krylov stack, work on int16 or
-    # int32 copies, so the caller's int64 g is its only array of that width;
-    # the peaks are about 2.0 and 24.3 MiB of traced allocations (2.2 and
-    # 25.8 MiB with an int64 layer product, 2.2 and 26.6 MiB with an
-    # elimination of all of N as well, 2.5 and 29.7 MiB with a second
-    # reduced copy of N, 6.9 and 66 MiB with int64 working copies)
+    # sharing a leading column and of the Krylov stack, work on int8 copies
+    # reduced on write, so the caller's int64 g is its only array of that
+    # width; the peaks are about 1.6 and 14.0 MiB of traced allocations (2.0
+    # and 24.3 MiB with int16 and int32 eliminations sized for min(rows,
+    # cols) updates, 2.2 and 25.8 MiB with an int64 layer product as well,
+    # 6.9 and 66 MiB with int64 working copies)
     @pytest.mark.parametrize("a, b, bound_mib", [(22, 24, 3), (40, 45, 28)])
     def test_decompose_peak(self, a, b, bound_mib):
         ctx = RingContext(7, 2)
@@ -402,6 +436,79 @@ class TestInducedPowers:
                 for power, build in ((wedge_decomposition, wedge), (sym_decomposition, sym)):
                     literal = decompose(ctx, build(ctx, 2, realize(ctx, r)))
                     assert power(ctx, 2, r) == literal, (ctx.p, r)
+
+
+def builder_cases(rng, p, d):
+    """Random sparse and dense d x d matrices and the Jordan block J_d, entries 0..p-1."""
+    sparse = np.array([[rng.randrange(1, p) if rng.random() < 0.3 else 0 for _ in range(d)]
+                       for _ in range(d)], dtype=np.int64).reshape(d, d)
+    dense = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)],
+                     dtype=np.int64).reshape(d, d)
+    return [("sparse", sparse), ("dense", dense), ("jordan", gfp.jordan_block(d))]
+
+
+class TestInducedPowerBuilder:
+    # wedge and sym against the per-term reference, for every degree 0..4
+    # and d = 0..9; the dense cases stop where the reference's terms,
+    # C(d + n - 1, n) d^n, pass 20,000
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 31))
+    def test_matches_reference(self, p):
+        ctx = RingContext(p, 1)
+        rng = random.Random(9100 + p)
+        for d in range(10):
+            for kind, a in builder_cases(rng, p, d):
+                for n in range(5):
+                    if kind == "dense" and math.comb(max(d + n - 1, 0), n) * d**n > 20000:
+                        continue
+                    for alternating, build in ((True, wedge), (False, sym)):
+                        expected = reference_induced_power(p, n, a, alternating)
+                        if alternating and n > d:
+                            with pytest.raises(IndexRangeError):
+                                build(ctx, n, a)
+                            got = oracle._induced_power(ctx, n, a, alternating)
+                        else:
+                            got = build(ctx, n, a)
+                        assert got.dtype == np.int64 and got.flags.c_contiguous
+                        assert got.min(initial=0) >= 0 and got.max(initial=0) < p
+                        assert np.array_equal(got, expected), (kind, d, n, alternating)
+
+    @pytest.mark.parametrize("cells", (1, 30, 100, 200))
+    def test_chunks_straddle_the_budget(self, cells, monkeypatch):
+        # J_8 with a dense last column and one dense row: a column of the
+        # cube has from 8 to 8^3 terms (3 index cells each), so at these
+        # budgets some columns pass the budget on their own and, but for
+        # the budget of one cell, some chunks hold several columns
+        p = 5
+        rng = random.Random(9200)
+        a = gfp.jordan_block(8)
+        a[:, 7] = [rng.randrange(1, p) for _ in range(8)]
+        a[3] = [rng.randrange(1, p) for _ in range(8)]
+        monkeypatch.setattr(oracle, "_POWER_CELLS", cells)
+        ctx = RingContext(p, 1)
+        counts = np.count_nonzero(a, axis=0)
+        for alternating, build in ((True, wedge), (False, sym)):
+            pick = itertools.combinations if alternating else itertools.combinations_with_replacement
+            terms = [3 * math.prod(counts[list(t)]) for t in pick(range(8), 3)]
+            assert cells < max(terms)
+            assert cells == 1 or min(terms) <= cells
+            expected = reference_induced_power(p, 3, a, alternating)
+            assert np.array_equal(build(ctx, 3, a), expected)
+
+    def test_dense_cube_memory(self):
+        # S^3 of a dense 16 x 16 matrix at p = 7 has 816 columns of 4,096
+        # terms each, 3.3 M terms; chunked, the build peaks within 32 MiB
+        # of its 5.1 MiB result
+        ctx = RingContext(7, 2)
+        rng = random.Random(9300)
+        a = np.array([[rng.randrange(7) for _ in range(16)] for _ in range(16)], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            out = sym(ctx, 3, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (816, 816)
+        assert peak < out.nbytes + 32 * 2**20
 
 
 def _route_not_taken(*args):

@@ -7,6 +7,8 @@ Usage (from anywhere inside the repository):
         [--parent HEAD] [--seeds 1-10] [--trace-seeds 1,2]
         [--workloads adams-table,ring-mul,oracle-decompose]
 
+--trace-seeds '' skips the traced runs.
+
 The parent side is a `git archive` of --parent; the change side is a copy of
 the working tree (tracked files and untracked files that git does not
 ignore).  Each side is a fresh directory, so neither sees the other's
@@ -46,9 +48,9 @@ RUN_TIMEOUT_S = 600
 
 
 def seed_list(text: str) -> list[int]:
-    """Seeds from "1-10" or "1,2,5" (ranges inclusive)."""
+    """Seeds from "1-10" or "1,2,5" (ranges inclusive); "" is none."""
     seeds: list[int] = []
-    for part in text.split(","):
+    for part in filter(None, text.split(",")):
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
