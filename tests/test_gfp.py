@@ -261,23 +261,53 @@ def worst_growth_matrix(d, p, corner):
     return m
 
 
+RULE_CASES = [(2, np.int8), (7, np.int8), (11, np.int8), (13, np.int16), (31, np.int16),
+              (181, np.int16), (191, np.int32), (1021, np.int32), (46337, np.int32),
+              (46349, np.int64)]
+# matrices on which the rule once grew with min(rows, cols); it no longer does
+SIZED_RULE_CASES = [(36, 36, 31, np.int16), (36, 500, 31, np.int16),
+                    (2064, 2064, 1021, np.int32), (5000, 2064, 1021, np.int32),
+                    (126, 126, 2, np.int8)]
+
+
 class TestWorkingDtype:
     # pivot_rows eliminates on the narrowest signed dtype holding
     # (p-1)^2 + p, whatever the matrix size: every entry it reads is a
     # residue and one update lowers it by at most (p-1)^2 before it is
-    # reduced again; pinned on both sides of each switch
-    @pytest.mark.parametrize("p, dtype", [
-        (2, np.int8), (7, np.int8), (11, np.int8), (13, np.int16), (31, np.int16),
-        (181, np.int16), (191, np.int32), (1021, np.int32), (46337, np.int32),
-        (46349, np.int64),
+    # reduced again; pinned on both sides of each switch, and on matrices
+    # whose corner takes (p-1)^2 at each of min(rows, cols) - 1 updates
+    @pytest.mark.parametrize("shape, p, dtype", [
+        pytest.param(None, p, dtype, id=f"{p}-{np.dtype(dtype)}") for p, dtype in RULE_CASES
+    ] + [
+        pytest.param((rows, cols), p, dtype, id=f"{rows}-{cols}-{p}-{np.dtype(dtype)}")
+        for rows, cols, p, dtype in SIZED_RULE_CASES
     ])
-    def test_rule(self, p, dtype):
+    def test_rule(self, shape, p, dtype, monkeypatch):
         got = gfp.elimination_dtype(p)
         assert got == dtype
         bound = (p - 1) ** 2 + p
         assert np.iinfo(got).min <= -bound and bound - 1 <= np.iinfo(got).max
         narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}.get(dtype)
         assert narrower is None or -bound < np.iinfo(narrower).min
+        if shape is None:
+            return
+        used = []
+        reduced = gfp.reduced
+
+        def record(m, p, dtype):
+            used.append(np.dtype(dtype))
+            return reduced(m, p, dtype)
+
+        monkeypatch.setattr(gfp, "reduced", record)
+        rows, cols = shape
+        k = min(rows, cols)
+        fall = (k - 1) * (p - 1) ** 2
+        for corner, rank in ((fall % p, k - 1), ((fall + 1) % p, k)):
+            m = np.zeros(shape, dtype=np.int16)
+            m[:k, :k] = worst_growth_matrix(k, p, corner)
+            used.clear()
+            assert gfp.pivot_rows(m, p) == list(range(rank))
+            assert used == [dtype]
 
     @pytest.mark.parametrize("p, dtype", [(181, np.int16), (191, np.int32)])
     def test_dense_at_the_int16_edge(self, p, dtype, monkeypatch):
