@@ -27,14 +27,13 @@ with the rest spilled to one list (_slots), so the sparse displacements of
 induced Jordan actions stay cheap throughout; its column sums are held in
 the narrowest unsigned dtype holding N's longest column times (p-1)^2,
 uint8 for the induced matrices at p = 7.  A tensor of
-Jordan blocks J_a, J_b needs no matrix of its own: its block sizes are the
-Smith valuations of an a x a matrix over F_p[Z], by long division by
-minimal-valuation pivots (jordan_pair_rank_profile).
+Jordan blocks J_a, J_b needs no matrix of its own: its displacement is
+homogeneous of degree 1 in a grading, so its Krylov stack is block-diagonal
+by degree, and each degree's block of at most min(a, b) columns takes one
+pivot_rows call (jordan_pair_rank_profile).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -366,75 +365,47 @@ def rank_profile(n_mat: np.ndarray, p: int, max_k: int) -> list[int]:
     return found[np.minimum(np.arange(max_k + 1), len(layers) - 1)].tolist()
 
 
-def smith_chain_valuations(P: np.ndarray, p: int, b: int) -> list[int]:
-    """Diagonal y-valuations of a square matrix over F_p[y]/(y^b).
-
-    P: int64 of shape (m, m, b), coefficients 0..p-1 on the last axis; it is
-    destroyed.  A zero diagonal entry has valuation b.
-
-    Each step swaps an entry of minimal valuation e into the pivot and
-    clears its column below by long division: step s subtracts y^s times the
-    pivot row, scaled to clear degree e + s, so the division is exact and no
-    quotient is formed.  With factors reduced, each of the at most b steps
-    changes an entry by at most (p-1)^2 before its row is reduced: b*(p-1)^2
-    is about 2.1e9 at the order cap, inside int64.  Valuations never
-    decrease, so the rest is kept divided by y^base, base those found so far.
-    """
-    m = P.shape[0]
-    vals = [b] * m
-    base = 0
-    for t in range(m):
-        blen = b - base  # logical polynomial length of the shifted submatrix
-        nz = P[t:, t:, :blen] != 0
-        has = nz.any(axis=2)
-        if not has.any():
-            break
-        first = np.where(has, nz.argmax(axis=2), blen)
-        e = int(first.min())
-        pos = np.argwhere(first == e)[0]
-        i0, j0 = t + int(pos[0]), t + int(pos[1])
-        if i0 != t:
-            P[[t, i0], :, :] = P[[i0, t], :, :]
-        if j0 != t:
-            P[:, [t, j0], :] = P[:, [j0, t], :]
-        vals[t] = base + e
-        rows = t + 1 + np.flatnonzero(P[t + 1 :, t, :blen].any(axis=1))
-        if rows.size:
-            # gather the rows to clear, divide them by the pivot row, scatter back
-            inv = pow(int(P[t, t, e]), -1, p)
-            row = P[t, t:, :blen]
-            block = P[rows, t:, :blen]
-            for s in range(blen - e):
-                q = block[:, 0, e + s] % p * inv % p
-                if q.any():
-                    block[:, :, s:] -= q[:, None, None] * row[None, :, : blen - s]
-            P[rows, t:, :blen] = block % p
-        P[t, t + 1 :, :] = 0
-        if e and t + 1 < m:
-            # divide the remaining submatrix by y^e; its valuations are >= e
-            P[t + 1 :, t + 1 :, : blen - e] = P[t + 1 :, t + 1 :, e:blen]
-            P[t + 1 :, t + 1 :, blen - e :] = 0
-            base += e
-    return vals
-
-
 def jordan_pair_rank_profile(a: int, b: int, p: int, max_k: int) -> list[int]:
     """Rank profile of the displacement of a tensor of Jordan blocks J_a, J_b.
 
     Equivalent to rank_profile on the Kronecker product matrix, but read off
-    one Smith form.  With x, y the displacements of J_a, J_b and Y = y(1+x),
-    the tensor is F_p[x, Y]/(x^a, Y^b) and its displacement is Z = x + Y.
-    Over F_p[Z] that module is free on 1, x, ..., x^(a-1) modulo (Z - x)^b,
-    so its Jordan block sizes are the Smith valuations e_i of the a x a
-    matrix (Z I - C)^b, C the nilpotent shift, whose entry (i, i+t) is
-    (-1)^t C(b, t) Z^(b-t).  No block reaches a + b, since N^(a+b-1) = 0, so
-    the valuations over F_p[Z]/(Z^(a+b)) are exact, and
-    rank N^k = sum_i max(0, e_i - k).  The cost grows with a.
+    its grading.  With x, y the displacements of J_a, J_b and Y = y(1+x),
+    the tensor is A = F_p[x, Y]/(x^a, Y^b), a <= b after a swap, and its
+    displacement is N = x + Y, homogeneous of degree 1.  A/NA = F_p[x]/(x^a),
+    so W = {x^s : s < a} spans A with NA, and rank_profile's argument holds
+    with no lead_set: the rows x^s N^j, deepest first, count every
+    rank(N^k) by their pivots in the layers j >= k.
+
+    Layer j is an a x a array of residues: row s is x^s N^j, of degree
+    s + j, and column i holds its coefficient of x^i Y^(s+j-i).  The next
+    layer is the row plus the row shifted one column right, reduced by floor
+    division, with the columns where the Y-exponent reaches b cleared; two
+    residues sum in min_scalar_type(2(p-1)).  The layers stop at the first
+    zero one, N^(a+b-1) = 0 at the latest.  A row of degree d lies in the
+    degree-d part of A, so the stack is block-diagonal by degree: each
+    degree's rows (s, d - s), s ascending so deepest first, take one
+    pivot_rows call on at most a columns.
     """
-    n = a + b
-    P = np.zeros((a, a, n), dtype=np.int64)
-    idx = np.arange(a)
-    for t in range(min(a - 1, b) + 1):
-        P[idx[: a - t], idx[t:], b - t] = (-1) ** t * math.comb(b, t) % p
-    sizes = smith_chain_valuations(P, p, n)
-    return [sum(e - k for e in sizes if e > k) for k in range(max_k + 1)]
+    a, b = min(a, b), max(a, b)
+    dtype = np.min_scalar_type(2 * (p - 1))
+    modulus = dtype.type(p)
+    layers = np.zeros((a + b, a, a), dtype=dtype)
+    layers[0] = np.eye(a, dtype=dtype)
+    depth = 0
+    while layers[depth].any():
+        layer, nxt = layers[depth], layers[depth + 1]
+        nxt[:, 1:] = layer[:, :-1]
+        nxt += layer
+        nxt -= nxt // modulus * modulus
+        # x^i Y^(s+j+1-i) is zero once s + j + 1 - i >= b
+        nxt[np.tri(a, a, depth + 1 - b, dtype=bool)] = 0
+        depth += 1
+    # found[j]: the pivots in layer j
+    found = np.zeros(depth + 1, dtype=np.intp)
+    s = np.arange(a)
+    for degree in range(depth + a - 1):
+        rows = s[max(0, degree - depth + 1) : degree + 1]
+        block = layers[degree - rows, rows]
+        found[degree - rows[pivot_rows(block, p)]] += 1
+    ranks = np.cumsum(found[::-1])[::-1]
+    return ranks[np.minimum(np.arange(max_k + 1), depth)].tolist()

@@ -13,8 +13,8 @@ nothing else.
 Each job has one route.  A decomposition of an exterior or symmetric power
 of a basis module builds the induced matrix and decomposes it, for every
 degree and prime; a basis product V_a tensor V_b (pair_product) reads its
-block sizes from one Smith form, the valuations of (Z I - C)^b over F_p[Z]
-with C the a x a nilpotent shift.
+rank profile off the grading of V_a tensor V_b, one elimination of at most
+min(a, b) columns a degree, with the kernel decompose uses.
 """
 
 from __future__ import annotations
@@ -339,11 +339,12 @@ def pair_product(ctx: RingContext, a: int, b: int) -> DecompositionReport:
     """Decomposition of the tensor of the Jordan blocks of sizes a and b.
 
     Same rank-profile semantics as decompose(tensor(realize(a), realize(b))),
-    but the block sizes come from the Smith valuations of one a x a matrix
-    over F_p[Z] (gfp.jordan_pair_rank_profile), so large blocks stay cheap;
-    the two routes are interchangeable and tested against each other.
-    V_a tensor V_b is V_b tensor V_a, so the smaller block sizes the Smith
-    matrix.
+    but the profile is read off the grading of the tensor, whose Krylov
+    stack is block-diagonal by degree (gfp.jordan_pair_rank_profile), so no
+    ab x ab matrix is built and large blocks stay cheap; the two routes are
+    interchangeable and tested against each other.  V_a tensor V_b is
+    V_b tensor V_a, so the smaller block size is the width of each degree's
+    elimination.
     """
     a, b = ctx.check_index(a), ctx.check_index(b)
     _check_capacity(a * b)

@@ -375,8 +375,8 @@ def run_gow_laffey(ctx: RingContext) -> Outcomes:
 
 
 # pairs checked against the oracle's pair_product, which costs a median
-# 2 ms per pair at (7,2) and 37 ms at (1021,1), where the sample's largest
-# pair, (147,108), takes about 12 s
+# 5 ms per pair at (7,2) and 30 ms at (1021,1), where the sample's largest
+# pair, (147,108), takes about 0.17 s
 _ORACLE_PAIR_SAMPLE = 24
 
 
@@ -456,8 +456,8 @@ def run_oracle(ctx: RingContext) -> Outcomes:
 
     # multiply itself comes from a closed form derived from the ladder, so the
     # clauses above are partly circular; this one checks basis products against
-    # the oracle's pair_product, the Smith valuations of the Jordan pair, on
-    # a seeded sample of pairs the oracle cap admits
+    # the oracle's pair_product, the rank profile of the Jordan pair read off
+    # its grading, on a seeded sample of pairs the oracle cap admits
     pair_rng = random.Random(6043)
     limit = oracle_cap()
     for _ in range(_ORACLE_PAIR_SAMPLE):

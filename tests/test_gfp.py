@@ -1,4 +1,4 @@
-"""The GF(p) elimination kernel, rank profiles and Smith valuations against pure-Python references.
+"""The GF(p) elimination kernel and rank profiles against pure-Python references.
 
 The row rank profile is unique: the pivots are the rows that raise the rank
 of the rows above them.  So pivot_rows must return exactly the pivots of a
@@ -350,6 +350,7 @@ class TestWorkingDtype:
         # eliminated in int8, as every matrix at p = 7 is
         ctx = RingContext(7, 2)
         g = oracle.tensor(ctx, oracle.realize(ctx, 40), oracle.realize(ctx, 45))
+        expected = oracle.pair_product(ctx, 40, 45).to_element()
         used = []
         reduced = gfp.reduced
 
@@ -359,7 +360,7 @@ class TestWorkingDtype:
 
         monkeypatch.setattr(gfp, "reduced", record)
         report = oracle.decompose(ctx, g)
-        assert report.to_element() == oracle.pair_product(ctx, 40, 45).to_element()
+        assert report.to_element() == expected
         # the elimination of the stack comes last
         assert used[-1] == ((1950, 1800), np.dtype(np.int8))
 
@@ -782,9 +783,10 @@ class TestRankProfile:
         ctx = RingContext(7, 2)
         g = oracle.tensor(ctx, oracle.realize(ctx, a), oracle.realize(ctx, b))
         n = (g - np.eye(a * b, dtype=np.int64)) % 7
+        expected = list(oracle.pair_product(ctx, a, b).rank_profile)
         calls = self.stacks(monkeypatch)
         profile = gfp.rank_profile(n, 7, ctx.order)
-        assert profile == list(oracle.pair_product(ctx, a, b).rank_profile)
+        assert profile == expected
         assert (~gfp.lead_set(n, 7)).sum() == min(a, b)
         (stack,) = calls
         assert np.array_equal(stack, krylov_stack(n, 7))
@@ -899,103 +901,36 @@ class TestResidueInput:
                 monkeypatch.undo()
 
 
-def toeplitz_rank(P, p, k):
-    """Rank over GF(p) of P acting on (F_p[y]/(y^k))^m, as an mk x mk matrix.
-
-    Entry ((i, s), (j, r)) is the coefficient of y^(s-r) in P[i, j], zero for
-    s < r.
-    """
-    m = P.shape[0]
-    t = np.zeros((m * k, m * k), dtype=np.int64)
-    for s in range(k):
-        for r in range(s + 1):
-            t[s::k, r::k] = P[:, :, s - r]
-    return reference_rank(t, p)
-
-
-def random_polynomial_matrix(rng, m, b, p, density):
-    """m x m x b coefficients, each entry zero below a random degree."""
-    P = np.zeros((m, m, b), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            low = rng.randrange(b)
-            for s in range(low, b):
-                if rng.random() < density:
-                    P[i, j, s] = rng.randrange(1, p)
-    return P
-
-
-def polynomial_product(A, B, p):
-    """A B over F_p[y]/(y^b) for m x m x b coefficient arrays."""
-    b = A.shape[2]
-    C = np.zeros_like(A)
-    for r in range(b):
-        C[:, :, r:] += np.einsum("ik,kjs->ijs", A[:, :, r], B[:, :, : b - r])
-    return C % p
-
-
-def random_unimodular(rng, m, b, p):
-    """L U with L, U triangular, dense polynomial entries and unit constant diagonal."""
-    lower = random_polynomial_matrix(rng, m, b, p, 1.0)
-    upper = random_polynomial_matrix(rng, m, b, p, 1.0)
-    for i in range(m):
-        lower[i, i + 1 :] = upper[i + 1 :, i] = 0
-        lower[i, i, 0] = upper[i, i, 0] = 1
-    return polynomial_product(lower, upper, p)
-
-
-class TestSmithValuations:
-    # the valuations e_i of P over F_p[y]/(y^b) against the ranks of P on
-    # each truncation: sum_i min(e_i, k) = m*k - rank(T_k) for k = 1..b,
-    # which fixes how many e_i are at least k, so the multiset of e_i
+class TestJordanPairProfile:
+    # the graded profile of J_a x J_b against the ranks of the powers of its
+    # Kronecker displacement, for max_k below and past the index a + b - 1
 
     @staticmethod
-    def check(P, p):
-        m, b = P.shape[0], P.shape[2]
-        expected = [m * k - toeplitz_rank(P, p, k) for k in range(1, b + 1)]
-        vals = gfp.smith_chain_valuations(P.copy(), p, b)
-        assert len(vals) == m and all(0 <= e <= b for e in vals), vals
-        assert [sum(min(e, k) for e in vals) for k in range(1, b + 1)] == expected, vals
-        return vals
+    def kronecker_ranks(a, b, p, max_k):
+        n = np.kron(gfp.jordan_block(a), gfp.jordan_block(b)) - np.eye(a * b, dtype=np.int64)
+        return power_ranks(n % p, p, max_k)
 
     @pytest.mark.parametrize("p", PRIMES)
-    def test_random_matrices(self, p):
-        rng = random.Random(8600 + p)
-        for _ in range(30):
-            m, b = rng.randint(1, 5), rng.randint(1, 6)
-            self.check(random_polynomial_matrix(rng, m, b, p, rng.random()), p)
+    def test_small_pairs_both_orders(self, p):
+        for a in range(1, 9):
+            for b in range(1, 9):
+                ranks = self.kronecker_ranks(a, b, p, a + b)
+                assert gfp.jordan_pair_rank_profile(a, b, p, a + b) == ranks, (a, b)
 
     @pytest.mark.parametrize("p", PRIMES)
-    def test_prescribed_valuations(self, p):
-        # U diag(y^e_i) V with U, V invertible has valuations e_i; the
-        # units' dense series make the high coefficients of the quotients
-        # matter, where an unreduced factor would overflow
-        rng = random.Random(8800 + p)
-        for _ in range(20):
-            m, b = rng.randint(1, 5), rng.randint(1, 6)
-            es = [rng.randint(0, b) for _ in range(m)]
-            D = np.zeros((m, m, b), dtype=np.int64)
-            for i, e in enumerate(es):
-                if e < b:
-                    D[i, i, e] = rng.randrange(1, p)
-            U, V = random_unimodular(rng, m, b, p), random_unimodular(rng, m, b, p)
-            P = polynomial_product(polynomial_product(U, D, p), V, p)
-            assert sorted(self.check(P, p)) == sorted(es)
+    def test_every_max_k(self, p):
+        for a, b in ((1, 6), (3, 5), (5, 3), (6, 6)):
+            ranks = self.kronecker_ranks(a, b, p, a + b + 2)
+            for max_k in range(a + b + 3):
+                assert gfp.jordan_pair_rank_profile(a, b, p, max_k) == ranks[: max_k + 1]
 
     @pytest.mark.parametrize("p", PRIMES)
-    def test_zero_singular_and_constant(self, p):
-        rng = random.Random(8700 + p)
-        assert self.check(np.zeros((4, 4, 5), dtype=np.int64), p) == [5] * 4
-        # the last row a combination of the others over F_p[y]: one zero
-        # diagonal entry, valuation b
-        P = random_polynomial_matrix(rng, 4, 5, p, 0.8)
-        P[3] = 0
-        for i in range(3):
-            c = random_polynomial_matrix(rng, 1, 5, p, 1.0)[0, 0]
-            for j in range(4):
-                P[3, j] = (P[3, j] + np.convolve(c, P[i, j])[:5]) % p
-        assert 5 in self.check(P, p)
-        # b = 1: a matrix over F_p, whose valuations count its corank
-        for _ in range(5):
-            P = random_polynomial_matrix(rng, 5, 1, p, rng.random())
-            assert self.check(P, p).count(1) == 5 - reference_rank(P[:, :, 0], p)
+    def test_one_square_and_order(self, p):
+        # a = 1 and a = b past the small pairs, then b at the order p of
+        # C_p, where V_a x V_p is a copies of the projective V_p
+        for a, b in ((1, 13), (13, 1), (9, 9), (10, 10)):
+            ranks = self.kronecker_ranks(a, b, p, a + b)
+            assert gfp.jordan_pair_rank_profile(a, b, p, a + b) == ranks, (a, b)
+        for a in {1, 2, min(p, 7)}:
+            for x, y in ((a, p), (p, a)):
+                assert gfp.jordan_pair_rank_profile(x, y, p, p + 1) == block_ranks([p] * a, p + 1)

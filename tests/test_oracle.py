@@ -278,6 +278,22 @@ class TestWorkingMemory:
         assert peak < bound_mib * 2**20
         assert rep.to_element() == basis_element(ctx, a) * basis_element(ctx, b)
 
+    def test_pair_product_peak(self):
+        # the graded route's one large array is its layers, (a + b) a x a
+        # residues in uint16 at p = 1021, about 11 MiB for the widest pair
+        # the default cap admits, which sets its traced peak of about
+        # 11 MiB; Smith long division on an int64 (a, a, a + b) array
+        # peaked at 133 MiB
+        ctx = RingContext(1021, 1)
+        tracemalloc.start()
+        try:
+            rep = pair_product(ctx, 141, 141)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert rep.to_element() == basis_element(ctx, 141) * basis_element(ctx, 141)
+
     def test_builders_return_int64(self):
         # the narrow dtypes stay inside decompose: what the builders return
         # is int64 whatever the input's dtype
@@ -409,8 +425,8 @@ class TestInducedPowers:
 
     def test_split_route_agrees_across_contexts(self, ctx33, ctx72):
         # at odd p the swap splits V_r tensor V_r into its exterior and
-        # symmetric squares; pair_product reads the tensor from chain-ring Smith
-        # valuations, independent of the wedge/sym matrices
+        # symmetric squares; pair_product reads the tensor off its grading,
+        # independent of the wedge/sym matrices
         cases = [(ctx33, (14, 20, 27)), (ctx72, (16, 22)), (CTX5, (17, 25))]
         cases += [(ctx, range(2, 14)) for ctx in (ctx33, CTX5, ctx72)]
         for ctx, rs in cases:
@@ -429,8 +445,8 @@ class TestInducedPowers:
 
     def test_square_takes_matrix_route(self, ctx24, monkeypatch):
         # every square, at p = 2 and at odd p, decomposes its induced matrix;
-        # no power decomposition reaches the chain-ring Smith valuations
-        monkeypatch.setattr(gfp, "smith_chain_valuations", _route_not_taken)
+        # no power decomposition reaches the graded pair route
+        monkeypatch.setattr(gfp, "jordan_pair_rank_profile", _route_not_taken)
         for ctx in (ctx24, CTX5):
             for r in (2, 5, 9, 16):
                 for power, build in ((wedge_decomposition, wedge), (sym_decomposition, sym)):
@@ -708,13 +724,15 @@ class TestMultiply:
 
     @pytest.mark.parametrize(
         "p,nu,fixed",
-        [(31, 2, [(7, 902), (24, 566)]), (2, 10, []), (1021, 1, [])],
+        [(31, 2, [(7, 902), (24, 566), (100, 190)]), (2, 10, []),
+         (1021, 1, [(108, 147), (141, 141)])],
         ids=["31-2", "2-10", "1021-1"],
     )
     def test_pair_product_near_order_cap(self, p, nu, fixed):
         # seeded pairs drawn the way run_oracle draws them, in both argument
-        # orders; the dimension bound of 3000 keeps the smaller size, which
-        # sizes the Smith matrix, at most 54
+        # orders, with a dimension bound of 3000, and fixed pairs up to the
+        # default cap: thin pairs run to the order, whose many degrees each
+        # take a kernel call, and square ones widen every degree's block
         ctx = RingContext(p, nu)
         rng = random.Random(SEED_PAIRS + ctx.order)
         pairs = list(fixed)
